@@ -252,10 +252,10 @@ def test_e4_large_n_100(benchmark):
 
 
 def test_e4_large_n_300_smoke(benchmark):
-    """Perf-smoke scale point: large enough that the columnar routing
-    plane (vectorized DV merges + covers_all convergence probes) carries
-    real weight, small enough for every CI run.  Guarded by the perf
-    regression gate against BENCH_perf_baseline.json."""
+    """Perf-smoke scale point: large enough that DV merges of full
+    62-row hello frames dominate the routing work, small enough for
+    every CI run.  Guarded by the perf regression gate against
+    BENCH_perf_baseline.json."""
     result = benchmark.pedantic(lambda: measure_large(300, seed=5), rounds=1, iterations=1)
     _check_large_point(result)
 
@@ -310,7 +310,7 @@ def test_e4_large_n_1000(benchmark):
 
 @pytest.mark.slow
 def test_e4_large_n_5000(benchmark):
-    """First 5000-node convergence point (columnar routing plane).
+    """5000-node convergence point (never recorded: hours of wall).
 
     Runs under :data:`XL_N_CONFIG` — the seed-5 placement's 89-hop
     diameter and 81-frame hello trains overflow LARGE_N_CONFIG's

@@ -232,14 +232,16 @@ def _hello_stream(n_sources=8, rows=62, generations=40):
     return packets
 
 
-def _bench_merge_throughput(benchmark, impl):
-    from repro.net.routing_table import make_routing_table
+def test_perf_hello_merge_throughput_scalar(benchmark):
+    """DV merge throughput of the routing table (rows merged per second
+    = ``rows_merged`` extra-info / measured time)."""
+    from repro.net.routing_table import RoutingTable
 
     stream = _hello_stream()
     rows_merged = len(stream) * 62
 
     def setup():
-        table = make_routing_table(1, route_timeout=1e9, max_metric=64, impl=impl)
+        table = RoutingTable(1, route_timeout=1e9, max_metric=64)
         return (table,), {}
 
     def run(table):
@@ -253,27 +255,6 @@ def _bench_merge_throughput(benchmark, impl):
     benchmark.extra_info["rows_merged"] = rows_merged
     # 62 advertised rows plus the direct route per source.
     assert size == 8 * 63
-
-
-def test_perf_hello_merge_throughput_scalar(benchmark, monkeypatch):
-    """DV merge throughput, scalar reference (rows merged per second =
-    ``rows_merged`` extra-info / measured time)."""
-    # An ambient REPRO_ROUTING_IMPL would silently make both paired
-    # benches measure the same implementation.
-    monkeypatch.delenv("REPRO_ROUTING_IMPL", raising=False)
-    _bench_merge_throughput(benchmark, "scalar")
-
-
-def test_perf_hello_merge_throughput_columnar(benchmark, monkeypatch):
-    """DV merge throughput through the columnar vectorized path.
-
-    Pairs with the scalar variant above; the ratio is the vectorization
-    speedup cited in BENCH_perf.json."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    monkeypatch.delenv("REPRO_ROUTING_IMPL", raising=False)
-    _bench_merge_throughput(benchmark, "columnar")
 
 
 def test_perf_medium_resolution_dense_cell(benchmark):

@@ -93,8 +93,5 @@ def populate_oracle_tables(net: MeshNetwork, positions: Sequence[Position]) -> N
                 continue
             next_hop = addresses[path[1]]
             # Force the exact shortest-path next hop even if an
-            # equal-metric alternative exists.  set_route works on both
-            # table implementations — the columnar store hands out
-            # materialized entry copies, so mutating get() results would
-            # silently do nothing there.
+            # equal-metric alternative exists.
             node.table.set_route(other, next_hop, len(path) - 1, 0, now)

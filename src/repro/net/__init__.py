@@ -10,9 +10,7 @@ Layout
 * :mod:`repro.net.addresses` — 16-bit node addresses derived from MACs,
 * :mod:`repro.net.packets` / :mod:`repro.net.serialization` — byte-exact
   packet formats (routing, data, reliable-stream control),
-* :mod:`repro.net.routing_table` — the distance-vector routing table
-  (scalar reference) and the implementation factory,
-* :mod:`repro.net.routing_store` — the columnar (numpy) routing store,
+* :mod:`repro.net.routing_table` — the distance-vector routing table,
 * :mod:`repro.net.queues` — fixed-capacity packet queues (FreeRTOS-style),
 * :mod:`repro.net.hello` — periodic routing-table dissemination,
 * :mod:`repro.net.forwarding` — the data plane (via-based hop forwarding),

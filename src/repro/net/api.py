@@ -241,20 +241,7 @@ class MeshNetwork:
             for node in live:
                 if node.table.size < needed:
                     return False
-            # Columnar tables answer the whole-pair question with one
-            # vectorized probe per node (covers_all); the scalar table
-            # falls back to the per-pair has_route scan.
-            addresses = None
             for node in live:
-                covers_all = getattr(node.table, "covers_all", None)
-                if covers_all is not None:
-                    if addresses is None:
-                        from repro.net.routing_store import as_address_array
-
-                        addresses = as_address_array([n.address for n in live])
-                    if not covers_all(addresses):
-                        return False
-                    continue
                 for other in live:
                     if other.address != node.address and not node.table.has_route(other.address):
                         return False

@@ -42,12 +42,8 @@ class MesherConfig:
     #: first hop is at least this much stronger (hello SNR) replaces the
     #: incumbent.  None keeps the paper's pure hop-count behaviour.
     link_quality_tiebreak_db: "float | None" = None
-    #: Routing-table implementation: "auto" (columnar when numpy is
-    #: available, else scalar), "scalar" (the dict-of-entries reference)
-    #: or "columnar" (the vectorized numpy store; requires numpy).  The
-    #: two are observably equivalent — asserted by the equivalence
-    #: suite — and the REPRO_ROUTING_IMPL env var overrides this field.
-    routing_impl: str = "auto"
+    # Class constant, not a field: only perfbench/tracer.py reads it.
+    routing_impl = "scalar"
 
     # --- medium access --------------------------------------------------
     #: Listen-before-talk: number of backoff slots drawn uniformly before
@@ -132,8 +128,6 @@ class MesherConfig:
             raise ValueError("max_metric must fit the wire metric (1..255)")
         if self.link_quality_tiebreak_db is not None and self.link_quality_tiebreak_db < 0:
             raise ValueError("link_quality_tiebreak_db must be >= 0")
-        if self.routing_impl not in ("auto", "scalar", "columnar"):
-            raise ValueError("routing_impl must be 'auto', 'scalar' or 'columnar'")
         if self.backoff_slots < 0 or self.backoff_slot_s < 0:
             raise ValueError("backoff parameters must be non-negative")
         if not 1 <= self.fragment_size <= 244:

@@ -16,14 +16,8 @@ import logging
 import random
 from typing import Callable, List, Optional
 
-from repro.net import serialization
 from repro.net.config import MesherConfig
-from repro.net.packets import (
-    MAX_ROUTING_ENTRIES,
-    ROUTING_ENTRY_SIZE,
-    RoutingEntry,
-    RoutingPacket,
-)
+from repro.net.packets import MAX_ROUTING_ENTRIES, RoutingEntry, RoutingPacket
 from repro.net.routing_table import RoutingTable
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.trace.events import EventKind, TraceRecorder
@@ -115,17 +109,7 @@ class HelloService:
         version = self._table.version
         packets = self._packets_cache
         if packets is None or version != self._packets_version:
-            wire_rows = getattr(self._table, "advertised_wire_rows", None)
-            if wire_rows is not None:
-                # Columnar table: chunk its pre-encoded wire rows and
-                # prime the frame encoder, skipping the per-row struct
-                # packing entirely.
-                packets = self._build_packets_from_wire(
-                    *wire_rows(self_role=self._config.role)
-                )
-            else:
-                entries = self._table.snapshot(self_role=self._config.role)
-                packets = self.build_packets(entries)
+            packets = self.build_packets(self._table.snapshot(self_role=self._config.role))
             self._packets_cache = packets
             self._packets_version = version
         for packet in packets:
@@ -148,27 +132,6 @@ class HelloService:
             packets.append(RoutingPacket(src=self._address, entries=chunk))
         if not packets:  # empty table still advertises the node itself
             packets.append(RoutingPacket(src=self._address, entries=()))
-        return packets
-
-    def _build_packets_from_wire(self, addresses, metrics, roles, body: bytes) -> List[RoutingPacket]:
-        """Chunk pre-encoded advertised rows into ROUTING packets.
-
-        ``body`` is the concatenated wire encoding of every row (from
-        :meth:`ColumnarRoutingTable.advertised_wire_rows`); each chunk's
-        slice seeds the encode memo, so the later ``encode(packet)``
-        reduces to a header pack plus a byte join.  Byte-exactness with
-        the scalar build path is asserted by the hello tests.
-        """
-        packets = []
-        trusted = RoutingEntry.trusted
-        for start in range(0, len(addresses), MAX_ROUTING_ENTRIES):
-            end = start + MAX_ROUTING_ENTRIES
-            chunk = tuple(map(trusted, addresses[start:end], metrics[start:end], roles[start:end]))
-            packet = RoutingPacket(src=self._address, entries=chunk)
-            serialization.prime_encode(
-                packet, body[start * ROUTING_ENTRY_SIZE : end * ROUTING_ENTRY_SIZE]
-            )
-            packets.append(packet)
         return packets
 
     def _jitter(self) -> float:

@@ -127,7 +127,6 @@ class MesherNode:
             max_metric=self.config.max_metric,
             snr_tiebreak_db=self.config.link_quality_tiebreak_db,
             on_change=self._route_changed,
-            impl=self.config.routing_impl,
         )
         self.send_queue = SendQueue(self.config.send_queue_capacity)
         self.duty = DutyCycleAccountant(self.config.region)
@@ -230,7 +229,6 @@ class MesherNode:
             max_metric=self.config.max_metric,
             snr_tiebreak_db=self.config.link_quality_tiebreak_db,
             on_change=self._route_changed,
-            impl=self.config.routing_impl,
         )
         self.hello._table = self.table  # the service follows the new table
         self.reliable._route_via = self.table.next_hop

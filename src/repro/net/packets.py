@@ -28,14 +28,6 @@ from typing import List, Union
 
 from repro.net.addresses import BROADCAST_ADDRESS
 
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 #: Fixed header size on the wire.
 HEADER_SIZE = 6
 #: LoRa PHY payload ceiling; every encoded packet must fit this.
@@ -176,93 +168,6 @@ def rows_of(entries) -> tuple:
         _ROWS_CACHE[id(entries)] = (entries, value)
         return value
     return _rows_value(tuple((e.address, e.metric, e.role) for e in entries))
-
-
-#: Id-keyed memo of the *columnar* view of a ROUTING payload (see
-#: :class:`PacketColumns`).  Same lifetime rules as ``_ROWS_CACHE``:
-#: each value pins the entries tuple so its id stays valid.
-_COLUMNS_CACHE: dict = {}
-_COLUMNS_CACHE_MAX = 65_536
-
-
-class PacketColumns:
-    """Column view of a ROUTING payload for the vectorized DV merge.
-
-    ``addr``/``cand``/``role`` are aligned int64 arrays over the packet
-    rows, with ``cand`` already the candidate metric (advertised + 1).
-    ``filtered(max_metric)`` applies the broadcast-address and metric-cap
-    masks once per (packet, max_metric) pair — every receiver with the
-    same cap shares the result.  Row order is preserved so notification
-    order matches the scalar per-row loop.
-    """
-
-    __slots__ = ("addr", "cand", "role", "role_of", "has_dups", "_filtered")
-
-    def __init__(self, addr, cand, role, role_of: dict, has_dups: bool) -> None:
-        self.addr = addr
-        self.cand = cand
-        self.role = role
-        self.role_of = role_of
-        self.has_dups = has_dups
-        self._filtered: dict = {}
-
-    @classmethod
-    def from_rows(cls, rows: tuple, role_of: dict) -> "PacketColumns":
-        n = len(rows)
-        mat = _np.array(rows, dtype=_np.int64).reshape(n, 3)
-        addr = _np.ascontiguousarray(mat[:, 0])
-        cand = mat[:, 1] + 1
-        role = _np.ascontiguousarray(mat[:, 2])
-        return cls(addr, cand, role, role_of, len({r[0] for r in rows}) != n)
-
-    def filtered(self, max_metric: int, src: int) -> tuple:
-        """``(addr, cand, role, max_addr, nsrc)`` with rows beyond
-        ``max_metric`` or addressed to broadcast masked out, plus the
-        ``addr != src`` mask; memoized per (cap, sender).  A broadcast
-        hello is decoded once and merged by every receiver with the same
-        cap and sender, so the masks are computed once per transmission."""
-        key = (max_metric, src)
-        hit = self._filtered.get(key)
-        if hit is None:
-            keep = (self.cand <= max_metric) & (self.addr != BROADCAST_ADDRESS)
-            if keep.all():
-                addr, cand, role = self.addr, self.cand, self.role
-            else:
-                addr = self.addr[keep]
-                cand = self.cand[keep]
-                role = self.role[keep]
-            max_addr = int(addr.max()) if addr.shape[0] else 0
-            hit = (addr, cand, role, max_addr, addr != src)
-            self._filtered[key] = hit
-        return hit
-
-
-def prime_columns(entries: tuple, columns: "PacketColumns") -> None:
-    """Seed :func:`columns_of` for a freshly decoded entries tuple whose
-    column arrays the caller already holds (the vectorized decoder)."""
-    if len(_COLUMNS_CACHE) >= _COLUMNS_CACHE_MAX:
-        _COLUMNS_CACHE.clear()
-    _COLUMNS_CACHE[id(entries)] = (entries, columns)
-
-
-def columns_of(entries) -> "PacketColumns":
-    """The memoized :class:`PacketColumns` view of an entries sequence.
-
-    Requires numpy; callers (the columnar routing store) are themselves
-    numpy-gated.  Only tuples are memoized, mirroring :func:`rows_of`.
-    """
-    if type(entries) is tuple:
-        hit = _COLUMNS_CACHE.get(id(entries))
-        if hit is not None and hit[0] is entries:
-            return hit[1]
-        rows, role_of = rows_of(entries)
-        columns = PacketColumns.from_rows(rows, role_of)
-        if len(_COLUMNS_CACHE) >= _COLUMNS_CACHE_MAX:
-            _COLUMNS_CACHE.clear()
-        _COLUMNS_CACHE[id(entries)] = (entries, columns)
-        return columns
-    rows, role_of = rows_of(entries)
-    return PacketColumns.from_rows(rows, role_of)
 
 
 @dataclass(frozen=True)

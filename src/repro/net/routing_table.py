@@ -20,7 +20,6 @@ Update rules (RIP-style, as the firmware implements them):
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -106,7 +105,7 @@ class RoutingTable:
         #: refreshes keep it stable).  Together with ``_version`` it
         #: covers every input the merge rules read.
         self._snr_version: int = 0
-        #: Per-neighbour memo of a no-op hello merge: (entries object,
+        #: Per-neighbour memo of a no-op hello merge: (entries tuple,
         #: table version, snr version, entries refreshed in place).  A
         #: stable network re-broadcasts the *same* ROUTING packet objects
         #: (hello/build cache + decode memo), so once a merge produced no
@@ -206,9 +205,6 @@ class RoutingTable:
         max_metric = self.max_metric
         routes = self._routes
         tiebreak = self.snr_tiebreak_db is not None
-        # The merge below inlines _merge_candidate (kept as a method for
-        # other callers): a converging mesh merges tens of candidates per
-        # received hello, and the call overhead dominates the arithmetic.
         for address, adv_metric, role in rows:
             if address == self_addr or address == BROADCAST_ADDRESS:
                 continue
@@ -249,10 +245,12 @@ class RoutingTable:
                 routes[address] = entry
                 self._notify("updated", entry)
                 changed += 1
-        if changed == 0:
-            # Pin the entries tuple so its id cannot be recycled while
-            # the memo lives; any later table/SNR change ages it out via
-            # the version checks.
+        if changed == 0 and type(entries) is tuple:
+            # Only immutable payloads are memoized (the rule rows_of
+            # follows too): a list could be edited before it is merged
+            # again under the same identity.  Pin the entries tuple so
+            # its id cannot be recycled while the memo lives; any later
+            # table/SNR change ages it out via the version checks.
             memo_table = self._merge_memo
             if src not in memo_table and len(memo_table) >= _MERGE_MEMO_MAX:
                 # Bound the memo under neighbour churn: drop the oldest
@@ -267,35 +265,6 @@ class RoutingTable:
                 tuple(refreshed),
             )
         return changed
-
-    def _merge_candidate(self, address: int, via: int, metric: int, role: int, now: float) -> bool:
-        current = self._routes.get(address)
-        if current is None:
-            entry = RouteEntry(address=address, via=via, metric=metric, role=role, updated_at=now)
-            self._routes[address] = entry
-            self._notify("added", entry)
-            return True
-        if metric < current.metric:
-            entry = RouteEntry(address=address, via=via, metric=metric, role=role, updated_at=now)
-            self._routes[address] = entry
-            self._notify("updated", entry)
-            return True
-        if current.via == via:
-            # Follow the next hop's current view (metric may have worsened),
-            # and refresh the timestamp either way.
-            meaningful = current.metric != metric or current.role != role
-            current.metric = metric
-            current.role = role
-            current.updated_at = now
-            if meaningful:
-                self._notify("updated", current)
-            return meaningful
-        if metric == current.metric and self._stronger_first_hop(via, current.via):
-            entry = RouteEntry(address=address, via=via, metric=metric, role=role, updated_at=now)
-            self._routes[address] = entry
-            self._notify("updated", entry)
-            return True
-        return False
 
     def set_route(
         self,
@@ -472,13 +441,6 @@ class RoutingTable:
             self._on_change(kind, entry)
 
 
-# ----------------------------------------------------------------------
-# Implementation selection
-# ----------------------------------------------------------------------
-#: Valid values of MesherConfig.routing_impl / REPRO_ROUTING_IMPL.
-ROUTING_IMPLS = ("auto", "scalar", "columnar")
-
-
 def make_routing_table(
     self_address: int,
     *,
@@ -486,35 +448,12 @@ def make_routing_table(
     max_metric: int = 16,
     snr_tiebreak_db: Optional[float] = None,
     on_change: Optional[ChangeHook] = None,
-    impl: str = "auto",
-):
-    """Build the configured routing-table implementation.
-
-    ``impl`` (usually ``MesherConfig.routing_impl``) picks between the
-    scalar dict-of-entries reference and the columnar numpy store; the
-    ``REPRO_ROUTING_IMPL`` environment variable overrides it globally,
-    which is how the A/B equivalence and benchmark runs flip a whole
-    mesh between implementations without touching configs.
-
-    ``auto`` resolves to columnar when numpy is available, else scalar.
-    Forcing ``columnar`` without numpy raises.
-    """
-    choice = os.environ.get("REPRO_ROUTING_IMPL") or impl
-    if choice not in ROUTING_IMPLS:
-        raise ValueError(f"routing impl must be one of {ROUTING_IMPLS}, got {choice!r}")
-    if choice != "scalar":
-        from repro.net import routing_store
-
-        if routing_store.HAVE_NUMPY:
-            return routing_store.ColumnarRoutingTable(
-                self_address,
-                route_timeout=route_timeout,
-                max_metric=max_metric,
-                snr_tiebreak_db=snr_tiebreak_db,
-                on_change=on_change,
-            )
-        if choice == "columnar":
-            raise RuntimeError("routing_impl='columnar' requires numpy")
+    impl: str = "scalar",
+) -> RoutingTable:
+    """Build a node's routing table (the mesher's single constructor)."""
+    # ``impl`` exists only because perfbench/tracer.py passes it.
+    if impl != "scalar":
+        raise ValueError(f"routing impl must be 'scalar', got {impl!r}")
     return RoutingTable(
         self_address,
         route_timeout=route_timeout,

@@ -36,18 +36,6 @@ assert _HEADER.size == pk.HEADER_SIZE
 assert _ROUTE_ENTRY.size == pk.ROUTING_ENTRY_SIZE
 assert _CONTROL.size == pk.CONTROL_SIZE
 
-if pk.HAVE_NUMPY:
-    import numpy as _np
-
-    #: Structured view of the ROUTING payload: itemsize 4, matching
-    #: ``_ROUTE_ENTRY`` byte for byte (asserted by the codec tests).
-    _ROUTE_WIRE_DTYPE = _np.dtype([("address", "<u2"), ("metric", "u1"), ("role", "u1")])
-    assert _ROUTE_WIRE_DTYPE.itemsize == pk.ROUTING_ENTRY_SIZE
-
-#: Row count from which the vectorized ROUTING decode beats the struct
-#: iter_unpack loop (numpy fixed costs dominate below it).
-_VECTOR_DECODE_MIN_ROWS = 16
-
 
 class DecodeError(Exception):
     """Raised for any buffer that is not a well-formed packet."""
@@ -111,27 +99,6 @@ def _encode(packet: Packet) -> bytes:
     if len(frame) > pk.MAX_PHY_PAYLOAD:
         raise ValueError(f"encoded frame {len(frame)} B exceeds the 255 B PHY limit")
     return frame
-
-
-def prime_encode(packet: Packet, body: bytes) -> None:
-    """Seed the encode memo for a packet whose body bytes the caller
-    already holds.
-
-    The columnar routing store exports its advertised rows as one wire
-    blob (:meth:`ColumnarRoutingTable.advertised_wire_rows`); the hello
-    service slices that blob per chunk and primes the encoder here, so
-    beacon frames of large tables are never struct-packed row by row.
-    The caller guarantees byte-exactness of ``body`` (asserted against
-    :func:`_encode` by the codec tests).
-    """
-    if len(body) > 0xFF:
-        raise ValueError(f"packet body {len(body)} B exceeds the u8 length field")
-    frame = _HEADER.pack(packet.dst, packet.src, int(packet.type), len(body)) + body
-    if len(frame) > pk.MAX_PHY_PAYLOAD:
-        raise ValueError(f"encoded frame {len(frame)} B exceeds the 255 B PHY limit")
-    if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-        _evict_oldest_half(_ENCODE_CACHE)
-    _ENCODE_CACHE[id(packet)] = (packet, frame)
 
 
 #: Memo for :func:`decode`, keyed by the frame bytes.  Packets are frozen
@@ -207,9 +174,6 @@ def _decode_routing(dst: int, src: int, body: bytes) -> RoutingPacket:
         raise DecodeError(
             f"ROUTING body of {len(body)} B is not a multiple of {pk.ROUTING_ENTRY_SIZE}"
         )
-    n_rows = len(body) // pk.ROUTING_ENTRY_SIZE
-    if pk.HAVE_NUMPY and n_rows >= _VECTOR_DECODE_MIN_ROWS:
-        return _decode_routing_vector(dst, src, body, n_rows)
     # The struct layout guarantees metric/role fit u8 and address fits
     # u16, so only the non-zero address rule needs an explicit check —
     # entries skip dataclass re-validation via the trusted constructor.
@@ -222,32 +186,6 @@ def _decode_routing(dst: int, src: int, body: bytes) -> RoutingPacket:
     # The int rows are in hand before the entry objects exist; seed the
     # rows memo so the routing table's merge loop never re-extracts them.
     pk.prime_rows(entries, rows)
-    return RoutingPacket(dst=dst, src=src, entries=entries)
-
-
-def _decode_routing_vector(dst: int, src: int, body: bytes, n_rows: int) -> RoutingPacket:
-    """Column decode of a large ROUTING payload: one ``frombuffer`` per
-    packet instead of a struct unpack per row, and the columnar merge's
-    :class:`~repro.net.packets.PacketColumns` view seeded for free."""
-    wire = _np.frombuffer(body, dtype=_ROUTE_WIRE_DTYPE)
-    addresses = wire["address"]
-    if not addresses.all():
-        raise DecodeError("bad routing-entry address 0x0")
-    addr_list = addresses.tolist()
-    metric_list = wire["metric"].tolist()
-    role_list = wire["role"].tolist()
-    rows = tuple(zip(addr_list, metric_list, role_list))
-    entries = tuple(map(RoutingEntry.trusted, addr_list, metric_list, role_list))
-    pk.prime_rows(entries, rows)
-    role_of = pk.rows_of(entries)[1]  # primed above: no rescan
-    columns = pk.PacketColumns(
-        addresses.astype(_np.int64),
-        wire["metric"].astype(_np.int64) + 1,
-        wire["role"].astype(_np.int64),
-        role_of,
-        len(set(addr_list)) != n_rows,
-    )
-    pk.prime_columns(entries, columns)
     return RoutingPacket(dst=dst, src=src, entries=entries)
 
 

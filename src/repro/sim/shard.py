@@ -343,7 +343,7 @@ class _ShardSim:
         return exports
 
     # -- convergence ----------------------------------------------------
-    def converged_global(self, addr_array, n_total: int) -> bool:
+    def converged_global(self) -> bool:
         """Whether every local node routes to every node of the whole
         mesh (the shard-local conjunct of global convergence)."""
         if self.net is None:
@@ -353,16 +353,11 @@ class _ShardSim:
             # so shards=1 cannot diverge from MeshNetwork.converged().
             return self.net.converged()
         live = [n for n in self.net.nodes if n.radio.powered and n.started]
-        needed = n_total - 1
+        needed = len(self.all_addresses) - 1
         for node in live:
             if node.table.size < needed:
                 return False
         for node in live:
-            covers_all = getattr(node.table, "covers_all", None)
-            if covers_all is not None:
-                if not covers_all(addr_array):
-                    return False
-                continue
             for address in self.all_addresses:
                 if address != node.address and not node.table.has_route(address):
                     return False
@@ -463,7 +458,6 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
             for index, indices in sorted(spec.owned.items())
         ]
         recorder = FlowRecorder()
-        addr_array = _address_array(spec.addresses)
         conn.send(("ready", None))
         wait_started = perf_counter()
         while True:
@@ -481,9 +475,7 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
                         shard.step(barrier, ghosts_by_shard.get(shard.index, ()))
                     )
                     if check and converged:
-                        converged = shard.converged_global(
-                            addr_array, len(spec.addresses)
-                        )
+                        converged = shard.converged_global()
                 conn.send(("stepped", exports, converged if check else None))
             elif command == "attach_traffic":
                 for shard in shards:
@@ -507,17 +499,6 @@ def _worker_main(conn, spec: _WorkerSpec) -> None:
         conn.close()
 
 
-def _address_array(addresses: Sequence[int]):
-    try:
-        from repro.net.routing_store import HAVE_NUMPY, as_address_array
-
-        if HAVE_NUMPY:
-            return as_address_array(addresses)
-    except ImportError:  # pragma: no cover
-        pass
-    return list(addresses)
-
-
 # ----------------------------------------------------------------------
 # Shard groups: uniform stepping over in-process and piped shards
 # ----------------------------------------------------------------------
@@ -535,7 +516,6 @@ class _LocalGroup:
         ]
         self.spec = spec
         self.recorder = FlowRecorder()
-        self._addr_array = _address_array(spec.addresses)
 
     def step(self, barrier, ghosts_by_shard, check):
         exports: List[BoundaryFrame] = []
@@ -543,9 +523,7 @@ class _LocalGroup:
         for shard in self.shards:
             exports.extend(shard.step(barrier, ghosts_by_shard.get(shard.index, ())))
             if check and converged:
-                converged = shard.converged_global(
-                    self._addr_array, len(self.spec.addresses)
-                )
+                converged = shard.converged_global()
         return exports, (converged if check else None)
 
     def attach_traffic(self) -> None:

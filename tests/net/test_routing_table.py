@@ -1,24 +1,11 @@
-"""Tests for the distance-vector routing table.
+"""Tests for the distance-vector routing table."""
 
-The whole module runs twice: once against the scalar reference and once
-against the columnar (numpy) store, which must be observationally
-identical.  ``VECTOR_MIN_ROWS`` is dropped to 1 so even the small
-packets used here exercise the vectorized merge path.
-"""
+import hashlib
 
 import pytest
 
 from repro.net.packets import NodeRole, RoutingEntry
-from repro.net.routing_table import RoutingTable
-
-try:
-    from repro.net.routing_store import ColumnarRoutingTable
-
-    IMPLS = {"scalar": RoutingTable, "columnar": ColumnarRoutingTable}
-except ImportError:  # numpy unavailable: scalar only
-    IMPLS = {"scalar": RoutingTable}
-
-_CLS = RoutingTable
+from repro.net.routing_table import RoutingTable, make_routing_table
 
 ME = 0x0001
 N1 = 0x0002  # neighbour 1
@@ -26,23 +13,8 @@ N2 = 0x0003  # neighbour 2
 FAR = 0x0004  # two hops away
 
 
-@pytest.fixture(params=sorted(IMPLS), autouse=True)
-def _table_impl(request):
-    global _CLS
-    _CLS = IMPLS[request.param]
-    yield
-    _CLS = RoutingTable
-
-
-def make(self_address, **kwargs):
-    t = _CLS(self_address, **kwargs)
-    if hasattr(t, "VECTOR_MIN_ROWS"):
-        t.VECTOR_MIN_ROWS = 1
-    return t
-
-
 def table(**kwargs):
-    return make(ME, **kwargs)
+    return RoutingTable(ME, **kwargs)
 
 
 class TestHeardFrom:
@@ -136,6 +108,14 @@ class TestHelloMerge:
         t.process_hello(N1, [RoutingEntry(address=FAR, metric=1, role=int(NodeRole.GATEWAY))], now=0.0)
         assert t.get(FAR).role == int(NodeRole.GATEWAY)
 
+    def test_duplicate_address_rows_merge_in_order(self):
+        # The second row for the same destination follows the via the
+        # first row just installed, so the packet's last word wins.
+        t = table()
+        rows = (RoutingEntry(address=0x10, metric=5), RoutingEntry(address=0x10, metric=2))
+        t.process_hello(0x99, rows, now=0.0)
+        assert t.metric(0x10) == 3
+
 
 class TestExpiry:
     def test_stale_routes_purged(self):
@@ -203,18 +183,32 @@ class TestSnapshot:
 
     def test_two_tables_converge_via_snapshots(self):
         # A miniature two-node exchange: tables teach each other.
-        ta = make(0x000A)
-        tb = make(0x000B)
+        ta = RoutingTable(0x000A)
+        tb = RoutingTable(0x000B)
         tb.heard_from(0x000C, now=0.0)  # B knows C
         ta.process_hello(0x000B, tb.snapshot()[1:], now=1.0)
         assert ta.metric(0x000B) == 1
         assert ta.metric(0x000C) == 2
 
+    def test_snapshot_memo_returns_fresh_equal_lists(self):
+        t = table()
+        t.heard_from(0x10, now=0.0)
+        a = t.snapshot()
+        b = t.snapshot()
+        assert a == b and a is not b
+
+    def test_snapshot_memo_invalidated_by_version_change(self):
+        t = table()
+        t.heard_from(0x10, now=0.0)
+        assert len(t.snapshot()) == 2
+        t.heard_from(0x20, now=1.0)  # version bump invalidates the memo
+        assert [r.address for r in t.snapshot()] == [ME, 0x10, 0x20]
+
 
 class TestChangeHook:
     def test_hook_sees_adds_updates_removes(self):
         events = []
-        t = make(ME, route_timeout=100.0, on_change=lambda k, e: events.append((k, e.address)))
+        t = RoutingTable(ME, route_timeout=100.0, on_change=lambda k, e: events.append((k, e.address)))
         t.process_hello(N1, [RoutingEntry(address=FAR, metric=3)], now=0.0)
         t.process_hello(N2, [RoutingEntry(address=FAR, metric=1)], now=1.0)
         t.purge(now=500.0)
@@ -227,13 +221,17 @@ class TestChangeHook:
 class TestValidation:
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError):
-            make(ME, route_timeout=0.0)
+            RoutingTable(ME, route_timeout=0.0)
 
     def test_bad_max_metric_rejected(self):
         with pytest.raises(ValueError):
-            make(ME, max_metric=0)
+            RoutingTable(ME, max_metric=0)
         with pytest.raises(ValueError):
-            make(ME, max_metric=256)
+            RoutingTable(ME, max_metric=256)
+
+    def test_negative_snr_tiebreak_rejected(self):
+        with pytest.raises(ValueError):
+            RoutingTable(ME, snr_tiebreak_db=-1.0)
 
     def test_format_renders_all_routes(self):
         t = table()
@@ -255,7 +253,7 @@ class TestMergeMemoEviction:
         return entries
 
     def test_memo_evicted_when_neighbour_route_expires(self):
-        t = make(ME, route_timeout=100.0)
+        t = RoutingTable(ME, route_timeout=100.0)
         self._noop_hello(t, N1, now=0.0)
         assert N1 in t._merge_memo
         t.purge(now=500.0)
@@ -290,3 +288,85 @@ class TestMergeMemoEviction:
         t._merge_memo.clear()  # simulate eviction
         assert t.process_hello(N1, entries, now=2.0) == 0
         assert t.get(FAR).updated_at == 2.0
+
+
+class TestMergeMemo:
+    def test_noop_replay_keeps_taught_routes_alive(self):
+        t = table(route_timeout=100.0)
+        rows = (RoutingEntry(address=0x10, metric=1), RoutingEntry(address=0x11, metric=1))
+        assert t.process_hello(0x99, rows, now=0.0) == 2
+        assert t.process_hello(0x99, rows, now=10.0) == 0  # memoized no-op
+        # The replayed refresh must move the timestamps forward.
+        assert t.purge(now=105.0) == []
+        assert t.has_route(0x10) and t.has_route(0x11)
+
+    def test_memo_replay_matches_full_merge(self):
+        # A memo replay must leave the table exactly as a full re-merge
+        # of the same packet would.
+        rows = (
+            RoutingEntry(address=0x10, metric=1),
+            RoutingEntry(address=0x11, metric=2),
+            RoutingEntry(address=0x12, metric=3, role=1),
+        )
+        replayed, merged = table(route_timeout=100.0), table(route_timeout=100.0)
+        for t in (replayed, merged):
+            assert t.process_hello(0x99, rows, now=10.0) == 3
+            assert t.process_hello(0x99, rows, now=15.0) == 0  # lands a memo
+        merged._merge_memo.clear()  # force the full merge path
+        for t in (replayed, merged):
+            assert t.process_hello(0x99, rows, now=20.0) == 0
+        assert 0x99 in replayed._merge_memo
+        assert list(replayed) == list(merged)
+        assert replayed.version == merged.version
+        assert replayed.purge(now=105.0) == merged.purge(now=105.0) == []
+
+    def test_mutated_list_is_merged_again(self):
+        # Lists are mutable, so their identity says nothing about their
+        # rows: a caller re-sending an edited list must not get the
+        # previous no-op decision replayed.
+        t = table()
+        rows = [RoutingEntry(address=0x10, metric=1)]
+        t.process_hello(N1, rows, now=0.0)
+        t.process_hello(N1, rows, now=1.0)
+        rows[0] = RoutingEntry(address=0x10, metric=5)
+        assert t.process_hello(N1, rows, now=2.0) == 1
+        assert t.metric(0x10) == 6
+
+
+class TestFactory:
+    def test_builds_the_scalar_table(self):
+        t = make_routing_table(ME, route_timeout=42.0, max_metric=9, snr_tiebreak_db=2.0)
+        assert type(t) is RoutingTable
+        assert (t.route_timeout, t.max_metric, t.snr_tiebreak_db) == (42.0, 9, 2.0)
+
+    def test_explicit_scalar(self):
+        assert type(make_routing_table(ME, impl="scalar")) is RoutingTable
+
+    def test_unknown_impl_rejected(self):
+        for impl in ("auto", "columnar", "quantum"):
+            with pytest.raises(ValueError):
+                make_routing_table(ME, impl=impl)
+
+
+class TestMeshFingerprint:
+    def test_whole_mesh_run_matches_golden(self):
+        """End-to-end determinism pin: placement, hellos, merges and
+        convergence of a 4x4 grid reproduce the recorded run exactly."""
+        from repro.net.api import MeshNetwork
+        from repro.net.config import MesherConfig
+        from repro.topology.placement import grid_positions
+
+        net = MeshNetwork.from_positions(
+            grid_positions(4, 4, spacing_m=120.0),
+            config=MesherConfig(hello_period_s=60.0),
+            seed=7,
+            trace_enabled=False,
+        )
+        convergence = net.run_until_converged(timeout_s=3600.0, check_period_s=10.0)
+        rows = ";".join(
+            f"{node.address}>{d}:{node.table.next_hop(d)}:{node.table.metric(d)}"
+            for node in net.nodes
+            for d in node.table.destinations()
+        )
+        assert (convergence, net.total_frames_sent(), net.total_bytes_sent()) == (210.0, 53, 2654)
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "9e291fbb46e955ac"

@@ -32,6 +32,14 @@ SAMPLE_PACKETS = [
     LostPacket(dst=1, src=2, via=3, seq_id=7, number=4),
     SyncPacket(dst=1, src=2, via=3, seq_id=9, number=40, total_bytes=7000),
     XLDataPacket(dst=1, src=2, via=3, seq_id=9, number=5, payload=bytes(range(100))),
+    # A full ROUTING frame: the largest hello chunk the table sends.
+    RoutingPacket(
+        src=0x0A0B,
+        entries=tuple(
+            RoutingEntry(address=0x0100 + i, metric=i % 7, role=i % 2)
+            for i in range(pk.MAX_ROUTING_ENTRIES)
+        ),
+    ),
 ]
 
 
@@ -122,12 +130,14 @@ class TestDecodeErrors:
 
     def test_hostile_routing_entry_rejected(self):
         # A routing entry advertising address 0 fails dataclass validation,
-        # surfaced as a DecodeError rather than ValueError.
-        frame = struct.pack("<HHBB", 0xFFFF, 1, int(PacketType.ROUTING), 4) + struct.pack(
-            "<HBB", 0, 1, 0
-        )
-        with pytest.raises(DecodeError):
-            decode(frame)
+        # surfaced as a DecodeError rather than ValueError — alone, and as
+        # the last row of a full frame.
+        for n_rows in (1, pk.MAX_ROUTING_ENTRIES):
+            rows = [(0x0100 + i, 1, 0) for i in range(n_rows - 1)] + [(0, 1, 0)]
+            body = b"".join(struct.pack("<HBB", *row) for row in rows)
+            frame = struct.pack("<HHBB", 0xFFFF, 1, int(PacketType.ROUTING), len(body)) + body
+            with pytest.raises(DecodeError):
+                decode(frame)
 
     def test_decode_never_raises_bare_valueerror(self):
         # Fuzz a few corrupted buffers: only DecodeError may escape.
