@@ -37,6 +37,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.net.mesher import AppMessage, MesherNode
 from repro.sim.kernel import PeriodicTimer
+from repro.sim.taps import tap
 
 logger = logging.getLogger(__name__)
 
@@ -136,8 +137,7 @@ class OtaNode:
         self._serving = False
         self._serve_queue: list[tuple[int, int]] = []  # (requester, version)
 
-        previous = node.on_message
-        node.on_message = lambda message: (self._on_message(message), previous and previous(message))
+        tap(node, "on_message", self._on_message)
 
         spread = 0.25 * advert_period_s
         self._advert_timer = PeriodicTimer(

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 from repro.metrics.stats import SummaryStats, summary_stats
 from repro.net.mesher import AppMessage, MesherNode
 from repro.sim.kernel import EventHandle
+from repro.sim.taps import tap
 
 MAGIC = b"PING"
 _KIND_REQ = 0x01
@@ -48,8 +49,7 @@ def decode_echo(payload: bytes):
 
 
 def install_responder(node: MesherNode) -> None:
-    """Make ``node`` answer echo requests (chainable with other hooks)."""
-    previous = node.on_message
+    """Make ``node`` answer echo requests (a tap on ``on_message``)."""
 
     def hook(message: AppMessage) -> None:
         decoded = decode_echo(message.payload)
@@ -59,10 +59,8 @@ def install_responder(node: MesherNode) -> None:
                 message.src,
                 encode_echo(_KIND_REP, ident, seq, sent_at, size=len(message.payload)),
             )
-        if previous is not None:
-            previous(message)
 
-    node.on_message = hook
+    tap(node, "on_message", hook)
 
 
 @dataclass
@@ -118,14 +116,7 @@ class Pinger:
         self._seq = 0
         self._outstanding: Dict[int, float] = {}
         self._results: Dict[int, PingResult] = {}
-        previous = node.on_message
-
-        def hook(message: AppMessage) -> None:
-            self._on_message(message)
-            if previous is not None:
-                previous(message)
-
-        node.on_message = hook
+        tap(node, "on_message", self._on_message)
 
     def ping(self, target: int, *, count: int = 1, interval_s: float = 10.0) -> PingResult:
         """Schedule ``count`` echo requests; returns the live result

@@ -256,9 +256,10 @@ class Medium:
         # mid-resolution, which must not disturb the in-progress loop).
         self._listener_snapshot: Optional[Tuple[MediumListener, ...]] = None
         #: Optional sniffer hook: called once per completed transmission
-        #: with the per-listener outcomes (see repro.trace.capture).
-        #: Attaching it disables the aggregate accounting fast path —
-        #: per-listener outcomes require the full resolution loop.
+        #: with the per-listener outcomes (see repro.trace.capture; tap
+        #: it with repro.sim.taps.tap).  Tapping it disables the
+        #: aggregate accounting fast path — per-listener outcomes
+        #: require the full resolution loop.
         self.on_transmission: Optional[
             Callable[[Transmission, Dict[int, DropReason]], None]
         ] = None
@@ -699,10 +700,6 @@ class Medium:
         while entries and entries[0][0] <= horizon:
             entries.popleft()
 
-    def _reachable(self, tx: Transmission) -> FrozenSet[int]:
-        """Membership-only view of :meth:`_reachable_entry` (compat shim)."""
-        return self._reachable_entry(tx)[1]
-
     def _reachable_entry(self, tx: Transmission) -> _ReachableEntry:
         """Listener ids whose link from ``tx``'s origin clears sensitivity,
         as (attachment-ordered tuple, frozenset).
@@ -792,7 +789,7 @@ class Medium:
         self,
         overlapping: List[Transmission],
         resolve: List[Tuple[int, MediumListener]],
-    ) -> Optional[Dict[int, List[float]]]:
+    ) -> Dict[int, List[float]]:
         """Interferer RSSI per (candidate listener, overlapping frame).
 
         One vectorized call per completed transmission computes what the
@@ -801,11 +798,8 @@ class Medium:
         ``received_power_dbm``, so every row value is bit-identical —
         :meth:`_survives_all_interference` can use them interchangeably.
 
-        Returns ``{node_id: [rssi_dbm per overlapping index]}``, or None
-        when numpy is unavailable (callers fall back to scalar lookups).
+        Returns ``{node_id: [rssi_dbm per overlapping index]}``.
         """
-        if not _batch.HAVE_NUMPY:
-            return None
         rx_positions = [listener.position for _, listener in resolve]
         # Interferers usually share one LoRaParams object; group by
         # identity so heterogeneous networks still batch per group.
@@ -938,10 +932,6 @@ class Medium:
             if other.overlaps(tx) and other.same_channel(tx):
                 out.append(other)
         return out
-
-    # Kept as a staticmethod alias for backwards compatibility; the hot
-    # paths call the module-level function directly.
-    _params_compatible = staticmethod(_params_compatible)
 
     def _prune_recent(self, horizon: float) -> None:
         """Drop completed transmissions that can no longer overlap anything

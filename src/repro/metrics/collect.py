@@ -9,10 +9,12 @@ distributions, and duplicate counts — the rows every benchmark prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.metrics.stats import SummaryStats, summary_stats
 from repro.net.mesher import AppMessage
+from repro.sim.taps import tap
 from repro.workload.probes import is_probe, parse_probe
 
 FlowKey = Tuple[int, int]  # (src, dst)
@@ -145,17 +147,9 @@ class FlowRecorder:
 
 
 def attach_recorder(recorder: FlowRecorder, node) -> None:
-    """Wire a node's ``on_message`` hook to the recorder, preserving any
-    callback the application already installed."""
-    previous = node.on_message
-    address = node.address
-
-    def hook(message: AppMessage) -> None:
-        recorder.delivered(address, message)
-        if previous is not None:
-            previous(message)
-
-    node.on_message = hook
+    """Tap a node's ``on_message`` hook so the recorder sees every
+    delivery, alongside any callback the application installed."""
+    tap(node, "on_message", partial(recorder.delivered, node.address))
 
 
 @dataclass(frozen=True)

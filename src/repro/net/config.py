@@ -58,7 +58,6 @@ class MesherConfig:
 
     # --- queues --------------------------------------------------------
     send_queue_capacity: int = 32
-    receive_queue_capacity: int = 32
     #: Application inbox capacity (delivered, not-yet-consumed messages).
     app_inbox_capacity: int = 64
 

@@ -154,11 +154,11 @@ class MesherNode:
         #: Optional push-style delivery; fires in addition to the inbox.
         self.on_message: Optional[Callable[[AppMessage], None]] = None
 
-        # Observer taps (see repro.verify): read-only hooks the invariant
-        # checker and other observers attach to.  All default to None and
-        # cost one attribute load when unused.  They survive recover()
-        # because the recreated table's on_change still points at
-        # _route_changed, which fans out to on_route_event.
+        # Observer hooks: read-only slots the invariant checker and other
+        # observers attach to with repro.sim.taps.tap.  All default to
+        # None and cost one attribute load when unused.  They survive
+        # recover() because the recreated table's on_change still points
+        # at _route_changed, which fans out to on_route_event.
         #: ``(packet, decision, previous_hop)`` after every via-packet
         #: classification (previous_hop is the simulator-side transmitter
         #: id, -1 when unknown).
@@ -172,7 +172,8 @@ class MesherNode:
         #: ``(src, payload) -> bool`` consume hook ahead of the reliable
         #: inbox path: a protocol layered on the reliable transport (the
         #: stream layer) returns True to claim the payload, and the
-        #: message never reaches the application inbox.
+        #: message never reaches the application inbox.  Its return value
+        #: matters, so it is a single slot, not a tap point.
         self.on_reliable_consume: Optional[Callable[[int, bytes], bool]] = None
 
         self.stats = NodeStats()

@@ -202,7 +202,7 @@ class ReliableTransport:
         #: was lost instead of treating retransmissions as a new stream.
         self._completed_inbound: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
-        #: Observer tap (see repro.verify): ``(src, seq_id, kind)`` on
+        #: Observer hook (see repro.sim.taps): ``(src, seq_id, kind)`` on
         #: every reliable delivery to the application, with kind in
         #: {"single", "stream"}.  The invariant checker uses it to assert
         #: exactly-once delivery per (receiver, src, seq).

@@ -295,7 +295,7 @@ class StreamManager:
         self._accepted: Dict[Tuple[int, int], Stream] = {}
         #: ``(stream) -> bool | None`` on every inbound SYN; None accepts.
         self.on_accept: Optional[Callable[[Stream], Optional[bool]]] = None
-        #: Observer tap (see repro.verify): ``(kind, peer, stream_id,
+        #: Observer hook (see repro.sim.taps): ``(kind, peer, stream_id,
         #: initiator_side, msg_seq)`` with kind in {"deliver",
         #: "duplicate", "open", "accept", "close", "reset"}.  ``deliver``
         #: fires per in-order app delivery — the STREAM_ORDERING invariant

@@ -23,6 +23,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import PeriodicTimer, Simulator
+from repro.sim.taps import Tap, tap
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class TimeSeriesSampler:
         self.points_dropped = 0
         self._ring: Deque[SamplePoint] = deque(maxlen=capacity)
         self._timer: Optional[PeriodicTimer] = None
-        self._listeners: List[Callable[[SamplePoint], None]] = []
+        #: Observer hook, called with every new point; add listeners
+        #: with :meth:`subscribe`.
+        self.on_sample: Optional[Callable[[SamplePoint], None]] = None
         if autostart:
             self.start()
 
@@ -97,18 +100,19 @@ class TimeSeriesSampler:
         if self.capacity is not None and len(self._ring) == self.capacity:
             self.points_dropped += 1
         self._ring.append(point)
-        for listener in self._listeners:
-            listener(point)
+        if self.on_sample is not None:
+            self.on_sample(point)
         return point
 
-    def subscribe(self, listener: Callable[[SamplePoint], None]) -> None:
-        """Call ``listener`` with every new :class:`SamplePoint`.
+    def subscribe(self, listener: Callable[[SamplePoint], None]) -> Tap:
+        """Call ``listener`` with every new :class:`SamplePoint` until the
+        returned tap is removed.
 
         This is how the event store streams samples out of the ring as
         they happen instead of re-reading it at run end; listeners see
         even points the capacity-bounded ring later evicts.
         """
-        self._listeners.append(listener)
+        return tap(self, "on_sample", listener)
 
     # ------------------------------------------------------------------
     # Access

@@ -44,7 +44,10 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.sim.taps import Tap, tap
 
 __all__ = [
     "EventStore",
@@ -571,9 +574,9 @@ def frame_view(
 class StoreRecorder:
     """Streams a running network into an :class:`EventStore`.
 
-    Attaches purely through observer hooks, chaining any previously
-    installed tap (the invariant checker does the same), so recording
-    composes with verification and never perturbs protocol state::
+    Attaches purely through observer taps (:func:`repro.sim.taps.tap`),
+    so recording composes with verification and other observers and
+    never perturbs protocol state::
 
         store = EventStore("run.db")
         recorder = StoreRecorder(store, net).attach()
@@ -612,10 +615,7 @@ class StoreRecorder:
         # Hot-path caches: the frame hook bypasses append_encoded.
         self._buffer = store._buffer
         self._batch_size = store.batch_size
-        self._saved_taps: Dict[int, tuple] = {}
-        self._saved_sniffer: Optional[Callable] = None
-        self._saved_frame_hook: Optional[Callable] = None
-        self._saved_violation: Optional[Callable] = None
+        self._taps: List[Tap] = []
 
     # ------------------------------------------------------------------
     def attach(self) -> "StoreRecorder":
@@ -636,66 +636,29 @@ class StoreRecorder:
             self._tap_node(node)
         medium = getattr(self.net, "medium", None)
         if self.frames == "full" and medium is not None:
-            self._saved_sniffer = medium.on_transmission
-            prev = self._saved_sniffer
-
-            def sniff(tx, outcomes, _prev=prev):
-                self._on_transmission(tx, outcomes)
-                if _prev is not None:
-                    _prev(tx, outcomes)
-
-            medium.on_transmission = sniff
+            self._taps.append(tap(medium, "on_transmission", self._on_transmission))
         elif self.frames and medium is not None:
-            self._saved_frame_hook = medium.on_frame
-            prev_frame = self._saved_frame_hook
-            if prev_frame is None:
-                # Common case: no chaining closure on the per-frame path.
-                medium.on_frame = self._on_frame
-            else:
-
-                def frame_hook(tx, _prev=prev_frame):
-                    self._on_frame(tx)
-                    _prev(tx)
-
-                medium.on_frame = frame_hook
+            self._taps.append(tap(medium, "on_frame", self._on_frame))
         trace = getattr(self.net, "trace", None)
         if trace is not None and hasattr(trace, "subscribe"):
-            trace.subscribe(self._on_trace_event)
+            self._taps.append(trace.subscribe(self._on_trace_event))
         if self.sampler is not None and hasattr(self.sampler, "subscribe"):
-            self.sampler.subscribe(self._on_sample)
+            self._taps.append(self.sampler.subscribe(self._on_sample))
         if self.checker is not None:
-            self._saved_violation = self.checker.on_violation
-            prev_violation = self._saved_violation
-
-            def violation(v, _prev=prev_violation):
-                self._on_violation(v)
-                if _prev is not None:
-                    _prev(v)
-
-            self.checker.on_violation = violation
+            self._taps.append(tap(self.checker, "on_violation", self._on_violation))
         self._marker("started")
         return self
 
     def detach(self) -> None:
-        """Restore the original taps; recorded events remain."""
+        """Remove the taps; recorded events remain."""
         if not self._active:
             return
         self._marker("finished")
         self.store.set_meta("finished", True)  # live SSE feeds end on this
         self._active = False
-        for node in self.net.nodes:
-            saved = self._saved_taps.pop(node.address, None)
-            if saved is not None:
-                node.on_route_event, node.on_forward_decision, node.on_app_delivery = saved
-        medium = getattr(self.net, "medium", None)
-        if self.frames == "full" and medium is not None:
-            medium.on_transmission = self._saved_sniffer
-        elif self.frames and medium is not None:
-            medium.on_frame = self._saved_frame_hook
-        if self.checker is not None:
-            self.checker.on_violation = self._saved_violation
-        # Trace/sampler subscriptions cannot be removed from their lists;
-        # the _active guard turns them into no-ops instead.
+        for handle in self._taps:
+            handle.remove()
+        self._taps.clear()
 
     def mark(self, phase: str, **detail: Any) -> None:
         """Record a lifecycle marker (e.g. ``converged``)."""
@@ -717,70 +680,25 @@ class StoreRecorder:
     def _tap_node(self, node) -> None:
         if not hasattr(node, "on_route_event"):
             return  # baseline stacks without the observer taps
-        self._saved_taps[node.address] = (
-            node.on_route_event,
-            node.on_forward_decision,
-            node.on_app_delivery,
-        )
         manager = getattr(node, "stream_manager", None)
         if manager is not None:
             self.watch_stream_manager(manager)
-        prev_route = node.on_route_event
-        prev_forward = node.on_forward_decision
-        prev_delivery = node.on_app_delivery
-
-        def route_event(kind, entry, _node=node, _prev=prev_route):
-            if self._active:
-                self._on_route_event(_node, kind, entry)
-            if _prev is not None:
-                _prev(kind, entry)
-
-        def forward_decision(packet, decision, previous_hop, _node=node, _prev=prev_forward):
-            if self._active and self.forwards:
-                self._on_forward_decision(_node, packet, decision)
-            if _prev is not None:
-                _prev(packet, decision, previous_hop)
-
-        def app_delivery(message, _node=node, _prev=prev_delivery):
-            if self._active:
-                self._on_app_delivery(_node, message)
-            if _prev is not None:
-                _prev(message)
-
-        node.on_route_event = route_event
-        node.on_forward_decision = forward_decision
-        node.on_app_delivery = app_delivery
+        self._taps.append(tap(node, "on_route_event", partial(self._on_route_event, node)))
+        if self.forwards:
+            self._taps.append(
+                tap(node, "on_forward_decision", partial(self._on_forward_decision, node))
+            )
+        self._taps.append(tap(node, "on_app_delivery", partial(self._on_app_delivery, node)))
 
     def watch_stream_manager(self, manager) -> None:
         """Record a :class:`~repro.net.stream.StreamManager`'s lifecycle
-        and delivery events as ``KIND_STREAM`` rows, chaining any
-        previously installed tap (the invariant checker composes the
-        same way).  Call for managers created *after* :meth:`attach`;
-        managers already present at attach time are tapped automatically.
+        and delivery events as ``KIND_STREAM`` rows until :meth:`detach`.
+        Call for managers created *after* :meth:`attach`; managers
+        already present at attach time are tapped automatically.
         """
-        prev = manager.on_stream_event
-        address = manager.node.address
-
-        def stream_event(kind, peer, stream_id, initiator_side, msg_seq,
-                         _prev=prev, _address=address):
-            if self._active:
-                self.store.append(
-                    self.net.sim.now,
-                    KIND_STREAM,
-                    {
-                        "event": kind,
-                        "peer": peer,
-                        "stream": stream_id,
-                        "initiator": bool(initiator_side),
-                        "seq": msg_seq,
-                    },
-                    node=_address,
-                    wall=self._wall(),
-                )
-            if _prev is not None:
-                _prev(kind, peer, stream_id, initiator_side, msg_seq)
-
-        manager.on_stream_event = stream_event
+        self._taps.append(
+            tap(manager, "on_stream_event", partial(self._on_stream_event, manager.node.address))
+        )
 
     # ------------------------------------------------------------------
     # Event builders
@@ -797,7 +715,7 @@ class StoreRecorder:
             wall=self._wall(),
         )
 
-    def _on_forward_decision(self, node, packet, decision) -> None:
+    def _on_forward_decision(self, node, packet, decision, previous_hop) -> None:
         action = decision.action.value if hasattr(decision.action, "value") else str(decision.action)
         if action not in ("forward", "no_route"):
             return  # deliveries land as KIND_DELIVERY; overhears are noise
@@ -811,6 +729,21 @@ class StoreRecorder:
             data["next_hop"] = decision.next_hop
         self.store.append(
             self.net.sim.now, KIND_FORWARD, data, node=node.address, wall=self._wall()
+        )
+
+    def _on_stream_event(self, address, kind, peer, stream_id, initiator_side, msg_seq) -> None:
+        self.store.append(
+            self.net.sim.now,
+            KIND_STREAM,
+            {
+                "event": kind,
+                "peer": peer,
+                "stream": stream_id,
+                "initiator": bool(initiator_side),
+                "seq": msg_seq,
+            },
+            node=address,
+            wall=self._wall(),
         )
 
     def _on_app_delivery(self, node, message) -> None:
@@ -834,8 +767,6 @@ class StoreRecorder:
         # json.dumps, duplicated time/sender fields, wall stamps) is
         # what would break the <10% store-overhead budget.  frame_view
         # reconstitutes the full air-capture shape on read.
-        if not self._active:
-            return
         buffer = self._buffer
         buffer.append(
             (
@@ -851,8 +782,6 @@ class StoreRecorder:
 
     def _on_transmission(self, tx, outcomes) -> None:
         # frames="full" path: per-listener outcomes included.
-        if not self._active:
-            return
         outcomes_json = ", ".join(
             f'"{n}": "{r._value_}"' for n, r in outcomes.items()
         )
@@ -865,8 +794,6 @@ class StoreRecorder:
         )
 
     def _on_trace_event(self, event) -> None:
-        if not self._active:
-            return
         detail = {
             k: v if isinstance(v, (int, float, str, bool, type(None))) else repr(v)
             for k, v in event.detail.items()
@@ -880,8 +807,6 @@ class StoreRecorder:
         )
 
     def _on_sample(self, point) -> None:
-        if not self._active:
-            return
         self.store.append(
             point.time_s,
             KIND_SAMPLE,
@@ -891,8 +816,6 @@ class StoreRecorder:
         self.store.flush()  # samples pace the live dashboard; land them now
 
     def _on_violation(self, violation) -> None:
-        if not self._active:
-            return
         self.store.append(
             violation.time,
             KIND_VIOLATION,

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.phy.link import (
     LinkBudget,
     _NOISE_FLOOR_DBM,
@@ -44,14 +46,6 @@ from repro.phy.pathloss import (
     PathLossModel,
     Position,
 )
-
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +187,7 @@ def supports_batch_model(model: PathLossModel) -> bool:
     exact type registered, loss static in time, and realisation
     independent of evaluation order."""
     return (
-        HAVE_NUMPY
-        and type(model) in _BATCH_KERNELS
+        type(model) in _BATCH_KERNELS
         and not model.time_varying
         and not model.order_sensitive
     )

@@ -18,38 +18,30 @@ standard in LoRa mesh evaluations.
 
 from __future__ import annotations
 
-import math
+import random
 from typing import Dict, Optional, Tuple
 
-import random
-
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+import numpy as _np
 
 Position = Tuple[float, float]
 
 
-if _np is not None:
-    # The scalar models route their transcendental ops through numpy so
-    # that the vectorized batch engine (repro.phy.batch) is bit-identical
-    # to the scalar path: numpy's SIMD log10/hypot kernels differ from
-    # libm's math.log10/math.hypot in the last ulp, but numpy agrees with
-    # itself between scalar and array calls.  Everything else in the loss
-    # formulas is +/-/*//, which IEEE 754 rounds identically everywhere.
-    _np_log10 = _np.log10
-    _np_hypot = _np.hypot
+# The scalar models route their transcendental ops through numpy so
+# that the vectorized batch engine (repro.phy.batch) is bit-identical
+# to the scalar path: numpy's SIMD log10/hypot kernels differ from
+# libm's math.log10/math.hypot in the last ulp, but numpy agrees with
+# itself between scalar and array calls.  Everything else in the loss
+# formulas is +/-/*//, which IEEE 754 rounds identically everywhere.
+_np_log10 = _np.log10
+_np_hypot = _np.hypot
 
-    def _log10(x: float) -> float:
-        return float(_np_log10(x))
 
-    def _hypot(x: float, y: float) -> float:
-        return float(_np_hypot(x, y))
+def _log10(x: float) -> float:
+    return float(_np_log10(x))
 
-else:  # pragma: no cover - exercised only on stripped installs
-    _log10 = math.log10
-    _hypot = math.hypot
+
+def _hypot(x: float, y: float) -> float:
+    return float(_np_hypot(x, y))
 
 
 def distance(a: Position, b: Position) -> float:

@@ -62,6 +62,7 @@ from repro.phy.link import LinkBudget
 from repro.phy.modulation import LoRaParams
 from repro.phy.pathloss import LogDistancePathLoss, PathLossModel, Position
 from repro.sim.rng import RngRegistry
+from repro.sim.taps import tap
 from repro.workload.traffic import PeriodicSender, PoissonSender
 
 __all__ = [
@@ -270,7 +271,7 @@ class _ShardSim:
             addresses=[all_addresses[i] for i in owned_indices],
             trace_enabled=False,
         )
-        self.net.medium.on_transmit_start = self._on_transmit_start
+        tap(self.net.medium, "on_transmit_start", self._on_transmit_start)
         if verify:
             from repro.verify.invariants import InvariantChecker
 

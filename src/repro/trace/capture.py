@@ -5,7 +5,10 @@ transmission is recorded — sender, decoded packet (when it parses as a
 mesh packet), airtime, and the per-listener outcome (delivered, below
 sensitivity, collided, ...).  This is the simulation analogue of parking
 an SDR next to the testbed, and it is how you debug "why didn't node X
-hear that?" questions without instrumenting protocol code.
+hear that?" questions without instrumenting protocol code.  Captures
+tap the medium's ``on_transmission`` hook (:mod:`repro.sim.taps`), so
+several of them — and a ``StoreRecorder(frames="full")`` — can share
+one medium.
 
 Captures export to JSON-lines for offline analysis.
 """
@@ -20,6 +23,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.medium.channel import DropReason, Medium, Transmission
 from repro.net import serialization
 from repro.net.addresses import format_address
+from repro.sim.taps import tap
 
 
 @dataclass(frozen=True)
@@ -50,18 +54,14 @@ class AirCapture:
     """Records every frame on a medium until :meth:`stop`."""
 
     def __init__(self, medium: Medium, *, capacity: Optional[int] = None) -> None:
-        if medium.on_transmission is not None:
-            raise RuntimeError("medium already has a sniffer attached")
-        self._medium = medium
         self.capacity = capacity
         self.frames: List[CapturedFrame] = []
         self.total_seen = 0
-        medium.on_transmission = self._on_transmission
+        self._tap = tap(medium, "on_transmission", self._on_transmission)
 
     def stop(self) -> None:
         """Detach from the medium (captured frames remain)."""
-        if self._medium.on_transmission == self._on_transmission:
-            self._medium.on_transmission = None
+        self._tap.remove()
 
     # ------------------------------------------------------------------
     def _on_transmission(self, tx: Transmission, outcomes: Dict[int, DropReason]) -> None:

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.sim.taps import Tap, tap
+
 
 class EventKind(enum.Enum):
     """Everything the protocol stack reports to the trace."""
@@ -64,11 +66,12 @@ class TraceRecorder:
 
     Listener contract
     -----------------
-    Subscribed listeners fire **only while ``enabled`` is true** — a
-    disabled recorder neither materialises :class:`TraceEvent` objects
-    nor notifies listeners; only the per-kind counters advance.  When
-    ``capacity`` is set, events past the cap are still delivered to
-    listeners but not stored; :attr:`events_dropped` counts them.
+    Subscribed listeners (taps on :attr:`on_event`) fire **only while
+    ``enabled`` is true** — a disabled recorder neither materialises
+    :class:`TraceEvent` objects nor notifies listeners; only the per-kind
+    counters advance.  When ``capacity`` is set, events past the cap are
+    still delivered to listeners but not stored; :attr:`events_dropped`
+    counts them.
     """
 
     def __init__(self, *, enabled: bool = True, capacity: Optional[int] = None) -> None:
@@ -81,7 +84,9 @@ class TraceRecorder:
         # protocol event even when disabled, and member-keyed lookups
         # would pay a Python-level enum.__hash__ each time.
         self._counts: Dict[str, int] = {k._value_: 0 for k in EventKind}
-        self._listeners: List[Callable[[TraceEvent], None]] = []
+        #: Observer hook, called with every recorded event; add
+        #: listeners with :meth:`subscribe`.
+        self.on_event: Optional[Callable[[TraceEvent], None]] = None
 
     def record(self, time: float, node: int, kind: EventKind, **detail: Any) -> None:
         """Append one event (or just count it when recording is disabled)."""
@@ -93,13 +98,14 @@ class TraceRecorder:
             self._events.append(event)
         else:
             self.events_dropped += 1
-        for listener in self._listeners:
-            listener(event)
+        if self.on_event is not None:
+            self.on_event(event)
 
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
+    def subscribe(self, listener: Callable[[TraceEvent], None]) -> Tap:
         """Call ``listener`` for every recorded event while the recorder
-        is enabled (see the listener contract in the class docstring)."""
-        self._listeners.append(listener)
+        is enabled (see the listener contract in the class docstring);
+        ``remove()`` the returned tap to stop."""
+        return tap(self, "on_event", listener)
 
     # ------------------------------------------------------------------
     # Queries

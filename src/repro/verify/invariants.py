@@ -3,10 +3,11 @@
 The simulator can see what no real deployment can: every routing table,
 queue counter, and duty-cycle ledger at once.  :class:`InvariantChecker`
 exploits that omniscience to audit the protocol's global invariants
-while a scenario runs — as an *observer* riding the node taps
-(``on_route_event``, ``on_forward_decision``, ``reliable.on_deliver``)
-plus a periodic full audit.  It never mutates protocol state, so an
-audited run is bit-identical to an unaudited one.
+while a scenario runs — as an *observer* tapping the node hooks
+(``on_route_event``, ``on_forward_decision``, ``reliable.on_deliver``;
+see :mod:`repro.sim.taps`) plus a periodic full audit.  It never
+mutates protocol state, so an audited run is bit-identical to an
+unaudited one.
 
 Invariant classes
 -----------------
@@ -74,10 +75,12 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.mesher import MesherNode
 from repro.net.reliable import ReliableTransport
+from repro.sim.taps import Tap, tap
 
 __all__ = [
     "Invariant",
@@ -205,7 +208,7 @@ class InvariantChecker:
         # next expected message sequence.
         self._stream_next: Dict[Tuple[int, int, int, bool], int] = {}
         self._counters: Dict[Invariant, object] = {}
-        self._saved_taps: Dict[int, tuple] = {}
+        self._taps: List[Tap] = []
         if registry is not None:
             self.bind_registry(registry)
 
@@ -263,68 +266,38 @@ class InvariantChecker:
         return self
 
     def detach(self) -> None:
-        """Stop auditing and restore the original taps."""
+        """Stop auditing and remove the taps."""
         if not self._attached:
             return
         self._attached = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        for node in self.net.nodes:
-            saved = self._saved_taps.pop(node.address, None)
-            if saved is not None:
-                node.on_route_event, node.on_forward_decision, node.reliable.on_deliver = saved
+        for handle in self._taps:
+            handle.remove()
+        self._taps.clear()
 
     def _tap_node(self, node: MesherNode) -> None:
-        self._saved_taps[node.address] = (
-            node.on_route_event,
-            node.on_forward_decision,
-            node.reliable.on_deliver,
+        self._taps += (
+            tap(node, "on_route_event", partial(self._on_route_event, node)),
+            tap(node, "on_forward_decision", partial(self._on_forward_decision, node)),
+            tap(node.reliable, "on_deliver", partial(self._on_reliable_delivery, node)),
         )
-        prev_route = node.on_route_event
-        prev_forward = node.on_forward_decision
-        prev_deliver = node.reliable.on_deliver
-
-        def route_event(kind, entry, _node=node, _prev=prev_route):
-            self._on_route_event(_node, kind, entry)
-            if _prev is not None:
-                _prev(kind, entry)
-
-        def forward_decision(packet, decision, previous_hop, _node=node, _prev=prev_forward):
-            self._on_forward_decision(_node, packet, decision, previous_hop)
-            if _prev is not None:
-                _prev(packet, decision, previous_hop)
-
-        def deliver(src, seq_id, kind, _node=node, _prev=prev_deliver):
-            self._on_reliable_delivery(_node, src, seq_id, kind)
-            if _prev is not None:
-                _prev(src, seq_id, kind)
-
-        node.on_route_event = route_event
-        node.on_forward_decision = forward_decision
-        node.reliable.on_deliver = deliver
-
         manager = getattr(node, "stream_manager", None)
         if manager is not None:
             self.watch_stream_manager(manager)
 
     def watch_stream_manager(self, manager) -> None:
-        """Chain onto a :class:`~repro.net.stream.StreamManager` tap and
-        audit its deliveries against STREAM_ORDERING.
+        """Tap a :class:`~repro.net.stream.StreamManager` and audit its
+        deliveries against STREAM_ORDERING until :meth:`detach`.
 
         Needed explicitly only for managers created after
         :meth:`attach`; pre-existing ones are discovered via the node's
         ``stream_manager`` attribute.
         """
-        receiver = manager._node.address
-        prev = manager.on_stream_event
-
-        def stream_event(kind, peer, stream_id, side, msg_seq, _prev=prev):
-            self._on_stream_event(receiver, kind, peer, stream_id, side, msg_seq)
-            if _prev is not None:
-                _prev(kind, peer, stream_id, side, msg_seq)
-
-        manager.on_stream_event = stream_event
+        self._taps.append(
+            tap(manager, "on_stream_event", partial(self._on_stream_event, manager._node.address))
+        )
 
     # ------------------------------------------------------------------
     # Recording

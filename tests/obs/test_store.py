@@ -19,7 +19,10 @@ from repro.obs.store import (
     EventStore,
     StoreRecorder,
 )
+from repro.topology.placement import line_positions
 from repro.trace.capture import load_capture_jsonl
+from repro.trace.events import EventKind
+from repro.verify import InvariantChecker
 
 CONFIG = MesherConfig(hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0)
 LINE4 = [(0.0, 0.0), (120.0, 0.0), (240.0, 0.0), (360.0, 0.0)]
@@ -330,6 +333,29 @@ class TestStoreRecorder:
         assert net.medium.on_frame is None  # full mode uses the sniffer
         recorder.detach()
         assert net.medium.on_transmission is None
+        store.close()
+
+    def test_observers_detach_out_of_order(self, tmp_path):
+        # The checker attaches first and detaches first: the recorder,
+        # tapped on top of it, must keep recording, and neither
+        # observer may be left in a slot once both are gone.
+        net = MeshNetwork.from_positions(line_positions(3, spacing_m=100.0), seed=1)
+        store = EventStore(tmp_path / "run.db")
+        checker = InvariantChecker(net, strict=False).attach()
+        recorder = StoreRecorder(store, net, checker=checker).attach()
+        checker.detach()
+        net.run(for_s=900.0)
+        route_events = sum(
+            net.trace.count(kind)
+            for kind in (EventKind.ROUTE_ADDED, EventKind.ROUTE_UPDATED, EventKind.ROUTE_REMOVED)
+        )
+        assert route_events == 6
+        assert store.count(kind=KIND_ROUTE) == route_events
+        recorder.detach()
+        for node in net.nodes:
+            assert node.on_route_event is None
+            assert node.on_forward_decision is None
+            assert node.reliable.on_deliver is None
         store.close()
 
     def test_recording_is_outcome_invisible(self, tmp_path):

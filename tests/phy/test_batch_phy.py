@@ -5,17 +5,11 @@ scalar loop at runtime, so any last-ulp divergence would change reachable
 sets and therefore simulated outcomes.  Both paths route their
 transcendentals through the same numpy kernels and associate every other
 op identically, so the property below is exact float equality.
-
-Set ``REPRO_REQUIRE_BATCH=1`` (CI does) to turn the numpy-missing skip
-into a hard failure — an environment that silently skipped this test
-would certify nothing about the engine actually used in the benchmarks.
 """
 
 import math
-import os
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,14 +23,6 @@ from repro.phy.pathloss import (
     MultiWallPathLoss,
 )
 from repro.sim.kernel import Simulator
-
-
-def _require_numpy():
-    if batch.HAVE_NUMPY:
-        return
-    if os.environ.get("REPRO_REQUIRE_BATCH"):
-        pytest.fail("REPRO_REQUIRE_BATCH is set but numpy is unavailable")
-    pytest.skip("numpy not installed")
 
 
 def _models():
@@ -73,7 +59,6 @@ class TestExactEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(txs=positions_strategy, rxs=positions_strategy, params=params_strategy)
     def test_matrices_equal_scalar_evaluate(self, txs, rxs, params):
-        _require_numpy()
         for model in _models():
             budget = LinkBudget(model)
             assert batch.supports_batch(budget)
@@ -88,7 +73,6 @@ class TestExactEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(txs=positions_strategy, rxs=positions_strategy, params=params_strategy)
     def test_antenna_gains_and_fixed_loss(self, txs, rxs, params):
-        _require_numpy()
         budget = LinkBudget(
             LogDistancePathLoss(),
             tx_antenna_gain_dbi=2.15,
@@ -106,7 +90,6 @@ class TestExactEquivalence:
     @given(positions=positions_strategy, params=params_strategy)
     def test_max_range_is_conservative(self, positions, params):
         """Every pair the exact margin test admits lies within max_range."""
-        _require_numpy()
         for model in _models():
             budget = LinkBudget(model)
             rng_m = batch.max_range_m(budget, params)
@@ -120,17 +103,14 @@ class TestExactEquivalence:
 
 class TestSupportGating:
     def test_builtin_static_models_supported(self):
-        _require_numpy()
         for model in _models():
             assert batch.supports_batch_model(model)
 
     def test_order_sensitive_shadowing_excluded(self):
-        _require_numpy()
         model = LogDistancePathLoss(shadowing_sigma_db=3.0, rng=random.Random(1))
         assert not batch.supports_batch_model(model)
 
     def test_time_varying_fading_excluded(self):
-        _require_numpy()
         sim = Simulator()
         model = BlockFadingPathLoss(
             LogDistancePathLoss(), sim, sigma_db=2.0, coherence_time_s=10.0, seed=4
@@ -140,7 +120,6 @@ class TestSupportGating:
     def test_unregistered_subclass_excluded(self):
         """A subclass overriding loss_db must never inherit the parent's
         vectorized kernel (registration is by exact type)."""
-        _require_numpy()
 
         class Custom(LogDistancePathLoss):
             def loss_db(self, tx, rx, frequency_mhz):
@@ -149,7 +128,6 @@ class TestSupportGating:
         assert not batch.supports_batch_model(Custom())
 
     def test_custom_registration(self):
-        _require_numpy()
 
         class Flat(FreeSpacePathLoss):
             pass
@@ -169,7 +147,6 @@ class TestSupportGating:
 
 class TestMaxRangeEdgeCases:
     def test_unbounded_without_kernel(self):
-        _require_numpy()
 
         class Alien(LogDistancePathLoss):
             pass
@@ -177,7 +154,6 @@ class TestMaxRangeEdgeCases:
         assert batch.max_range_m(LinkBudget(Alien()), LoRaParams()) is None
 
     def test_negative_budget_clamps_to_zero(self):
-        _require_numpy()
         budget = LinkBudget(MultiWallPathLoss([]), fixed_loss_db=300.0)
         rng_m = batch.max_range_m(budget, LoRaParams())
         assert rng_m is not None and rng_m >= 0.0

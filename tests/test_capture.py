@@ -1,5 +1,6 @@
 """Tests for the air-capture sniffer."""
 
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.medium.channel import DropReason
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
+from repro.obs.store import KIND_FRAME, EventStore, StoreRecorder
 from repro.topology.placement import line_positions
 from repro.trace.capture import AirCapture
 
@@ -61,10 +63,20 @@ class TestCapture:
         assert len(capture) == 2
         assert capture.total_seen > 2
 
-    def test_single_sniffer_per_medium(self, captured_net):
-        net, _ = captured_net
-        with pytest.raises(RuntimeError):
-            AirCapture(net.medium)
+    @pytest.mark.parametrize("stop_order", list(itertools.permutations(range(3))))
+    def test_sniffers_share_the_medium(self, tmp_path, stop_order):
+        net = MeshNetwork.from_positions(line_positions(3), seed=1)
+        first, second = AirCapture(net.medium), AirCapture(net.medium)
+        store = EventStore(tmp_path / "run.db")
+        recorder = StoreRecorder(store, net, frames="full").attach()
+        net.run(for_s=600.0)
+        assert net.total_frames_sent() == 15
+        assert len(first) == len(second) == store.count(kind=KIND_FRAME) == 15
+        stops = (first.stop, second.stop, recorder.detach)
+        for i in stop_order:
+            stops[i]()
+        assert net.medium.on_transmission is None
+        store.close()
 
     def test_stop_detaches(self):
         net = MeshNetwork.from_positions(line_positions(2), config=FAST, seed=4)
