@@ -99,10 +99,10 @@ class RoutingEntry:
 
         For fields that are already range-guaranteed — unpacked from the
         u16/u8/u8 wire structs or copied from an existing validated entry.
-        Hello fan-out decodes tens of entries per received frame, making
-        this the hottest allocation in a converging mesh — and the value
-        space is tiny (addresses x metrics x roles actually in use), so
-        entries are interned: frozen rows are shared instead of allocated.
+        Every table snapshot and every decoded ROUTING frame builds tens
+        of entries, and the value space is tiny (addresses x metrics x
+        roles actually in use), so entries are interned: frozen rows are
+        shared instead of allocated.
         """
         key = (cls, address, metric, role)
         self = _TRUSTED_INTERN.get(key)
@@ -115,59 +115,6 @@ class RoutingEntry:
                 _TRUSTED_INTERN.clear()
             _TRUSTED_INTERN[key] = self
         return self
-
-
-#: Id-keyed memo of the plain-int view of a ROUTING payload: the
-#: ``(address, metric, role)`` rows plus a first-occurrence
-#: address -> role map.  Frozen entries tuples are shared across all
-#: receivers of a frame (decode memo) and across beacons while the
-#: sender's table is stable (hello build cache), so the per-field
-#: extraction happens once per distinct packet instead of once per
-#: delivery.  Each value pins the entries tuple so its id cannot be
-#: recycled while the memo entry lives.  The serializer pre-seeds the
-#: memo at decode time, where the int rows exist before the entry
-#: objects do.
-_ROWS_CACHE: dict = {}
-_ROWS_CACHE_MAX = 65_536
-
-
-def _rows_value(rows: tuple) -> tuple:
-    role_of: dict = {}
-    setdefault = role_of.setdefault
-    for address, _metric, role in rows:
-        setdefault(address, role)
-    return (rows, role_of)
-
-
-def prime_rows(entries: tuple, rows: tuple) -> None:
-    """Seed :func:`rows_of` for a freshly built entries tuple whose int
-    rows the caller already holds (the decoder unpacks them from the
-    wire before constructing the entry objects)."""
-    if len(_ROWS_CACHE) >= _ROWS_CACHE_MAX:
-        _ROWS_CACHE.clear()
-    _ROWS_CACHE[id(entries)] = (entries, _rows_value(rows))
-
-
-def rows_of(entries) -> tuple:
-    """``((address, metric, role) rows, first-occurrence address->role)``
-    for a RoutingEntry sequence.
-
-    The role map answers "which role did this packet advertise for its
-    sender" without rescanning the rows for every receiver — most beacon
-    chunks of a large table do not contain the sender's own row at all.
-    Only tuples (immutable packet payloads) are memoized; lists stay
-    uncached because callers may mutate them between merges.
-    """
-    if type(entries) is tuple:
-        hit = _ROWS_CACHE.get(id(entries))
-        if hit is not None and hit[0] is entries:
-            return hit[1]
-        value = _rows_value(tuple((e.address, e.metric, e.role) for e in entries))
-        if len(_ROWS_CACHE) >= _ROWS_CACHE_MAX:
-            _ROWS_CACHE.clear()
-        _ROWS_CACHE[id(entries)] = (entries, value)
-        return value
-    return _rows_value(tuple((e.address, e.metric, e.role) for e in entries))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.net.addresses import BROADCAST_ADDRESS, format_address
-from repro.net.packets import NodeRole, RoutingEntry, rows_of
+from repro.net.packets import NodeRole, RoutingEntry
 
 #: Plain-int default role, hoisted out of the per-hello hot path.
 _DEFAULT_ROLE = int(NodeRole.DEFAULT)
@@ -172,15 +172,14 @@ class RoutingTable:
             return 0
         if not isinstance(entries, (tuple, list)):
             entries = list(entries)
-        # Plain-int rows: the merge loop below visits every entry of
-        # every received beacon, and tuple unpacking beats per-field
-        # dataclass attribute loads ~3x.  Packets are shared objects
-        # (decode memo), so the rows tuple is computed once per packet,
-        # not once per receiving node.
-        rows, role_of = rows_of(entries)
         # The sender's self-advertisement carries its role bits (and
         # nothing else of value — reception is the direct route).
-        self.heard_from(src, now, role=role_of.get(src, _DEFAULT_ROLE), snr_db=snr_db)
+        sender_role = _DEFAULT_ROLE
+        for row in entries:
+            if row.address == src:
+                sender_role = row.role
+                break
+        self.heard_from(src, now, role=sender_role, snr_db=snr_db)
         memo = self._merge_memo.get(src)
         if (
             memo is not None
@@ -189,7 +188,7 @@ class RoutingTable:
             and memo[2] == self._snr_version
         ):
             # The *same* packet object merged against an unchanged table:
-            # the merge rules are a pure function of (entries, rows,
+            # the merge rules are a pure function of (entries, table,
             # SNR state), so this replay decides exactly what the
             # recorded pass decided — no route changes, just timestamp
             # refreshes on the entries it refreshed then.  A converged
@@ -205,7 +204,12 @@ class RoutingTable:
         max_metric = self.max_metric
         routes = self._routes
         tiebreak = self.snr_tiebreak_db is not None
-        for address, adv_metric, role in rows:
+        # Rows are read straight off the entry objects, which every
+        # listener of a beacon shares with its sender (see
+        # serialization.encode); ``role`` is loaded only by the branches
+        # that install or follow a route, not by the common skip.
+        for row in entries:
+            address = row.address
             if address == self_addr or address == BROADCAST_ADDRESS:
                 continue
             if address == src:
@@ -215,23 +219,24 @@ class RoutingTable:
                 # let a malformed self-advertisement (metric > 0) degrade
                 # that direct route via the follow-your-via rule.
                 continue
-            metric = adv_metric + 1
+            metric = row.metric + 1
             if metric > max_metric:
                 continue
             current = routes.get(address)
             if current is None:
-                entry = RouteEntry(address=address, via=src, metric=metric, role=role, updated_at=now)
+                entry = RouteEntry(address=address, via=src, metric=metric, role=row.role, updated_at=now)
                 routes[address] = entry
                 self._notify("added", entry)
                 changed += 1
             elif metric < current.metric:
-                entry = RouteEntry(address=address, via=src, metric=metric, role=role, updated_at=now)
+                entry = RouteEntry(address=address, via=src, metric=metric, role=row.role, updated_at=now)
                 routes[address] = entry
                 self._notify("updated", entry)
                 changed += 1
             elif current.via == src:
                 # Follow the next hop's current view (metric may have
                 # worsened), and refresh the timestamp either way.
+                role = row.role
                 meaningful = current.metric != metric or current.role != role
                 current.metric = metric
                 current.role = role
@@ -241,16 +246,16 @@ class RoutingTable:
                     self._notify("updated", current)
                     changed += 1
             elif tiebreak and metric == current.metric and self._stronger_first_hop(src, current.via):
-                entry = RouteEntry(address=address, via=src, metric=metric, role=role, updated_at=now)
+                entry = RouteEntry(address=address, via=src, metric=metric, role=row.role, updated_at=now)
                 routes[address] = entry
                 self._notify("updated", entry)
                 changed += 1
         if changed == 0 and type(entries) is tuple:
-            # Only immutable payloads are memoized (the rule rows_of
-            # follows too): a list could be edited before it is merged
-            # again under the same identity.  Pin the entries tuple so
-            # its id cannot be recycled while the memo lives; any later
-            # table/SNR change ages it out via the version checks.
+            # Only immutable payloads are memoized: a list could be
+            # edited before it is merged again under the same identity.
+            # Pin the entries tuple so its id cannot be recycled while
+            # the memo lives; any later table/SNR change ages it out via
+            # the version checks.
             memo_table = self._merge_memo
             if src not in memo_table and len(memo_table) >= _MERGE_MEMO_MAX:
                 # Bound the memo under neighbour churn: drop the oldest

@@ -62,14 +62,32 @@ def _evict_oldest_half(cache: dict) -> None:
 
 
 def encode(packet: Packet) -> bytes:
-    """Serialize a packet to its over-the-air bytes."""
+    """Serialize a packet to its over-the-air bytes.
+
+    A ROUTING packet also seeds the :func:`decode` memo with itself when
+    its bytes are not memoized yet, so every listener of a hello beacon
+    shares the sender's packet object instead of a decoded copy.  Only a
+    packet equal to what the decoder would build is seeded: exactly a
+    :class:`RoutingPacket` typed ROUTING with no address-0 row (the one
+    row check the decoder adds).  An equal buffer already memoized keeps
+    its object, so a sender that rebuilds an unchanged chunk still hands
+    listeners the entries tuple their merge memos pinned.
+    """
     hit = _ENCODE_CACHE.get(id(packet))
     if hit is not None and hit[0] is packet:
-        return hit[1]
-    buffer = _encode(packet)
-    if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-        _evict_oldest_half(_ENCODE_CACHE)
-    _ENCODE_CACHE[id(packet)] = (packet, buffer)
+        buffer = hit[1]
+    else:
+        buffer = _encode(packet)
+        if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
+            _evict_oldest_half(_ENCODE_CACHE)
+        _ENCODE_CACHE[id(packet)] = (packet, buffer)
+    if (
+        type(packet) is RoutingPacket
+        and buffer not in _DECODE_CACHE
+        and packet.type is PacketType.ROUTING
+        and all(entry.address for entry in packet.entries)
+    ):
+        _memoize_decode(buffer, packet)
     return buffer
 
 
@@ -103,8 +121,10 @@ def _encode(packet: Packet) -> bytes:
 
 #: Memo for :func:`decode`, keyed by the frame bytes.  Packets are frozen
 #: dataclasses and decoding is pure, so a broadcast frame delivered to k
-#: listeners decodes once instead of k times.  Only successful decodes are
-#: cached; malformed buffers re-raise on every call (they are rare).
+#: listeners decodes once instead of k times; :func:`encode` seeds it with
+#: the ROUTING packets it serializes.  Only packets the decoder would
+#: return are cached; malformed buffers re-raise on every call (they are
+#: rare).
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_MAX = 65_536
 
@@ -113,18 +133,25 @@ def decode(buffer: bytes) -> Packet:
     """Parse over-the-air bytes back into a packet object.
 
     Memoized on the buffer bytes: the returned packet objects are frozen,
-    so callers receiving the same frame share one instance.  The cap
-    covers a 1000-node network's full beacon working set (every node's
-    chunked table) so broadcast receivers decode each frame once, not
-    once per receiver.
+    so callers receiving the same frame share one instance.  A hello
+    beacon's bytes are memoized when the sender encodes them (see
+    :func:`encode`), so its listeners get the sender's own ROUTING packet
+    and the routing table merges straight from its ``entries``; nothing
+    is parsed or copied per beacon.  The cap covers a 1000-node
+    network's full beacon working set (every node's chunked table) so
+    broadcast receivers decode each frame once, not once per receiver.
     """
     packet = _DECODE_CACHE.get(buffer)
     if packet is None:
         packet = _decode(buffer)
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-            _evict_oldest_half(_DECODE_CACHE)
-        _DECODE_CACHE[buffer] = packet
+        _memoize_decode(buffer, packet)
     return packet
+
+
+def _memoize_decode(buffer: bytes, packet: Packet) -> None:
+    if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
+        _evict_oldest_half(_DECODE_CACHE)
+    _DECODE_CACHE[buffer] = packet
 
 
 def _decode(buffer: bytes) -> Packet:
@@ -183,9 +210,6 @@ def _decode_routing(dst: int, src: int, body: bytes) -> RoutingPacket:
             raise DecodeError(f"bad routing-entry address {address:#x}")
     from_wire = RoutingEntry.trusted
     entries = tuple(from_wire(addr, metric, role) for addr, metric, role in rows)
-    # The int rows are in hand before the entry objects exist; seed the
-    # rows memo so the routing table's merge loop never re-extracts them.
-    pk.prime_rows(entries, rows)
     return RoutingPacket(dst=dst, src=src, entries=entries)
 
 

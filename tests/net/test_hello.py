@@ -174,3 +174,37 @@ class TestPacketReuse:
         assert len(set(buffers)) == 1
         decoded = serialization.decode(buffers[0])
         assert {e.address for e in decoded.entries} == {ME, 0x0002}
+
+
+class TestBeaconSharing:
+    """Listeners merge the sender's own ROUTING packet, not a decoded copy."""
+
+    def test_listeners_merge_the_entries_the_sender_built(self, monkeypatch):
+        from repro.net import serialization
+        from repro.net.api import MeshNetwork
+        from repro.topology.placement import line_positions
+
+        built = []  # pins every built packet, so entries ids stay unique
+        merged = []
+        build_packets = HelloService.build_packets
+        process_hello = RoutingTable.process_hello
+
+        def recording_build(service, entries):
+            packets = build_packets(service, entries)
+            built.extend(packets)
+            return packets
+
+        def recording_merge(table, src, entries, *args, **kwargs):
+            merged.append(entries)
+            return process_hello(table, src, entries, *args, **kwargs)
+
+        # An equal beacon memoized by an earlier network in this process
+        # would keep its object, so start from an empty decode memo.
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
+        monkeypatch.setattr(HelloService, "build_packets", recording_build)
+        monkeypatch.setattr(RoutingTable, "process_hello", recording_merge)
+        net = MeshNetwork.from_positions(line_positions(3, spacing_m=100.0), seed=1)
+        net.run(until=600.0)
+        assert merged
+        built_entries = {id(packet.entries) for packet in built}
+        assert all(id(entries) in built_entries for entries in merged)

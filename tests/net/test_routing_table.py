@@ -108,6 +108,18 @@ class TestHelloMerge:
         t.process_hello(N1, [RoutingEntry(address=FAR, metric=1, role=int(NodeRole.GATEWAY))], now=0.0)
         assert t.get(FAR).role == int(NodeRole.GATEWAY)
 
+    def test_sender_role_from_its_first_self_row(self):
+        # The sender's role comes from the first row advertising its own
+        # address, wherever it sits; a later duplicate does not override.
+        t = table()
+        rows = (
+            RoutingEntry(address=FAR, metric=1),
+            RoutingEntry(address=N1, metric=0, role=int(NodeRole.GATEWAY)),
+            RoutingEntry(address=N1, metric=0, role=int(NodeRole.DEFAULT)),
+        )
+        t.process_hello(N1, rows, now=0.0)
+        assert t.get(N1).role == int(NodeRole.GATEWAY)
+
     def test_duplicate_address_rows_merge_in_order(self):
         # The second row for the same destination follows the via the
         # first row just installed, so the packet's last word wins.

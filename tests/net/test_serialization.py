@@ -16,6 +16,7 @@ from repro.net.packets import (
     SyncPacket,
     XLDataPacket,
 )
+from repro.net import serialization
 from repro.net.serialization import DecodeError, decode, encode, encoded_size
 
 
@@ -47,6 +48,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("packet", SAMPLE_PACKETS, ids=lambda p: type(p).__name__)
     def test_encode_decode_roundtrip(self, packet):
         assert decode(encode(packet)) == packet
+        # decode() hands back a seeded ROUTING packet without parsing;
+        # the decoder itself must round-trip too.
+        assert serialization._decode(encode(packet)) == packet
 
     @pytest.mark.parametrize("packet", SAMPLE_PACKETS, ids=lambda p: type(p).__name__)
     def test_encoded_size_matches(self, packet):
@@ -55,6 +59,36 @@ class TestRoundTrip:
     def test_all_frames_fit_phy_limit(self):
         big = XLDataPacket(dst=1, src=2, via=3, seq_id=0, number=0, payload=bytes(pk.MAX_CONTROL_PAYLOAD))
         assert len(encode(big)) <= pk.MAX_PHY_PAYLOAD
+
+
+class _TaggedRoutingPacket(RoutingPacket):
+    """Equal on the wire to a RoutingPacket, but not what decode builds."""
+
+
+class TestDecodeMemoSeeding:
+    def test_equal_routing_packets_decode_to_the_first_encoded(self, monkeypatch):
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
+        entries = tuple(RoutingEntry(address=0x7100 + i, metric=i) for i in range(3))
+        first = RoutingPacket(src=0x7A01, entries=entries)
+        second = RoutingPacket(src=0x7A01, entries=tuple(list(entries)))
+        assert first == second and first is not second
+        assert decode(encode(first)) is first
+        assert decode(encode(second)) is first
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            DataPacket(dst=0x7B01, src=0x7B02, via=0x7B03, payload=b"not seeded"),
+            # Same class, but typed DATA: the bytes decode as a DataPacket.
+            RoutingPacket(src=0x7B04, entries=(RoutingEntry(address=0x7B05, metric=1),), type=PacketType.DATA),
+            _TaggedRoutingPacket(src=0x7B06, entries=(RoutingEntry(address=0x7B07, metric=1),)),
+        ],
+        ids=["data", "routing-typed-data", "routing-subclass"],
+    )
+    def test_only_what_the_decoder_builds_is_seeded(self, packet):
+        decoded = decode(encode(packet))
+        assert decoded is not packet
+        assert decoded == serialization._decode(encode(packet))
 
 
 class TestWireLayout:
@@ -132,12 +166,16 @@ class TestDecodeErrors:
         # A routing entry advertising address 0 fails dataclass validation,
         # surfaced as a DecodeError rather than ValueError — alone, and as
         # the last row of a full frame.
+        # The same bytes from encode() of a packet holding an unvalidated
+        # address-0 row must not be seeded into the decode memo either.
         for n_rows in (1, pk.MAX_ROUTING_ENTRIES):
             rows = [(0x0100 + i, 1, 0) for i in range(n_rows - 1)] + [(0, 1, 0)]
             body = b"".join(struct.pack("<HBB", *row) for row in rows)
             frame = struct.pack("<HHBB", 0xFFFF, 1, int(PacketType.ROUTING), len(body)) + body
-            with pytest.raises(DecodeError):
-                decode(frame)
+            hostile = RoutingPacket(src=1, entries=tuple(RoutingEntry.trusted(*row) for row in rows))
+            for buffer in (frame, encode(hostile)):
+                with pytest.raises(DecodeError):
+                    decode(buffer)
 
     def test_decode_never_raises_bare_valueerror(self):
         # Fuzz a few corrupted buffers: only DecodeError may escape.

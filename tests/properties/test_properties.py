@@ -91,6 +91,14 @@ class TestSerializationProperties:
     @given(packet=packets)
     def test_roundtrip_identity(self, packet):
         assert serialization.decode(serialization.encode(packet)) == packet
+        assert serialization._decode(serialization.encode(packet)) == packet
+
+    @given(packet=packets)
+    def test_memoized_decode_matches_the_decoder(self, packet):
+        # encode() seeds the decode memo with ROUTING packets; what the
+        # memo returns must equal what parsing the bytes would build.
+        frame = serialization.encode(packet)
+        assert serialization.decode(frame) == serialization._decode(frame)
 
     @given(packet=packets)
     def test_encoded_size_is_exact(self, packet):
