@@ -284,3 +284,34 @@ def test_perf_medium_resolution_dense_cell(benchmark):
 
     received = benchmark(run_cell)
     assert received == 50 * 15
+
+
+def test_perf_invariant_audit(benchmark):
+    """One full invariant audit of a converged 100-node mesh.
+
+    A 10x10 BW500 grid whose radios reach only the four nearest nodes,
+    so chains run up to 18 hops.  The mesh is built and converged once,
+    outside the timed call; each round audits its 9,900 (node,
+    destination) pairs with a fresh checker.  An audit that walked every
+    chain from scratch again would take several times as long."""
+    from repro.phy.modulation import Bandwidth, LoRaParams
+    from repro.phy.regions import UNRESTRICTED
+    from repro.verify import InvariantChecker
+
+    config = MesherConfig(
+        lora=LoRaParams(bandwidth=Bandwidth.BW500),
+        region=UNRESTRICTED,
+        hello_period_s=120.0,
+        route_timeout_s=7200.0,
+        purge_period_s=900.0,
+        max_metric=64,
+    )
+    net = MeshNetwork.from_positions(
+        grid_positions(10, 10, spacing_m=60.0), config=config, seed=1, trace_enabled=False
+    )
+    assert net.run_until_converged(timeout_s=7200.0) is not None
+
+    violations = benchmark.pedantic(
+        lambda: InvariantChecker(net, strict=False).audit(), rounds=50
+    )
+    assert violations == []

@@ -110,7 +110,10 @@ class RoutingTable:
         #: stable network re-broadcasts the *same* ROUTING packet objects
         #: (hello/build cache + decode memo), so once a merge produced no
         #: route change, replaying it against an unchanged table reduces
-        #: to the timestamp refreshes the original merge performed.
+        #: to the timestamp refreshes the original merge performed.  It
+        #: holds one record per sender, and a table longer than one frame
+        #: (62 rows) goes out as several chunks per beacon that evict
+        #: each other's record, so such senders almost never replay.
         self._merge_memo: Dict[int, tuple] = {}
         #: Memoized snapshot() rows, keyed on (version, self_role):
         #: stable-network beacons re-advertise an unchanged table every
@@ -191,10 +194,10 @@ class RoutingTable:
             # the merge rules are a pure function of (entries, table,
             # SNR state), so this replay decides exactly what the
             # recorded pass decided — no route changes, just timestamp
-            # refreshes on the entries it refreshed then.  A converged
-            # network spends almost all merge work here: every beacon
-            # re-advertises a stable table to neighbours whose tables are
-            # equally stable.
+            # refreshes on the entries it refreshed then.  In a converged
+            # network the replays come from senders whose table fits one
+            # frame; longer tables almost never replay (see
+            # ``_merge_memo``).
             for current in memo[3]:
                 current.updated_at = now
             return 0

@@ -47,6 +47,7 @@ from pathlib import Path
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.net.forwarding import ForwardAction
 from repro.sim.taps import Tap, tap
 
 __all__ = [
@@ -716,18 +717,23 @@ class StoreRecorder:
         )
 
     def _on_forward_decision(self, node, packet, decision, previous_hop) -> None:
-        action = decision.action.value if hasattr(decision.action, "value") else str(decision.action)
-        if action not in ("forward", "no_route"):
+        # Hand-encoded like the route path, keys sorted: one call per
+        # received data frame.
+        action = decision.action
+        if action is ForwardAction.FORWARD:
+            data = (
+                f'{{"action": "forward", "dst": {packet.dst}, '
+                f'"next_hop": {decision.next_hop}, '
+                f'"packet": "{type(packet).__name__}", "src": {packet.src}}}'
+            )
+        elif action is ForwardAction.NO_ROUTE:
+            data = (
+                f'{{"action": "no_route", "dst": {packet.dst}, '
+                f'"packet": "{type(packet).__name__}", "src": {packet.src}}}'
+            )
+        else:
             return  # deliveries land as KIND_DELIVERY; overhears are noise
-        data = {
-            "action": action,
-            "packet": type(packet).__name__,
-            "src": packet.src,
-            "dst": packet.dst,
-        }
-        if decision.next_hop is not None:
-            data["next_hop"] = decision.next_hop
-        self.store.append(
+        self.store.append_encoded(
             self.net.sim.now, KIND_FORWARD, data, node=node.address, wall=self._wall()
         )
 

@@ -145,6 +145,86 @@ class _Persistence:
     last_detail: str = ""
 
 
+#: Exactly-once ledger size below which it is never swept.
+_LEDGER_MIN_CAP = 4096
+
+#: Fates of a next-hop chain towards one destination, as
+#: :func:`_broken_chains` resolves them; the loop phase revisits the
+#: last two.
+_DELIVERED, _DEAD, _BREAK, _CYCLE = range(4)
+
+
+def _chain_fate(
+    address: int, via: int, dst: int, routes_of: Dict[int, dict], memo: Dict[int, int]
+) -> int:
+    """Fate of the chain leaving ``address`` through ``via`` towards
+    ``dst``, recorded in ``memo`` for every node it passes.
+
+    ``routes_of`` maps each live node's address to its route dict.
+    Follows next hops until delivery, a dead hop, a hop without a route
+    (a chain break), or a node whose fate ``memo`` holds.  Nodes on the
+    path are marked ``_CYCLE`` while it is followed, so coming back to
+    one resolves the cycle, and every node leading into it, as cycling.
+    """
+    path = [address]
+    memo[address] = _CYCLE
+    while via != dst:
+        fate = memo.get(via)
+        if fate is not None:
+            break
+        routes = routes_of.get(via)
+        if routes is None:
+            fate = _DEAD
+            break
+        entry = routes.get(dst)
+        if entry is None:
+            fate = _BREAK
+            break
+        path.append(via)
+        memo[via] = _CYCLE
+        via = entry.via
+    else:
+        fate = _DELIVERED
+    for passed in path:
+        memo[passed] = fate
+    return fate
+
+
+def _broken_chains(live: Dict[int, MesherNode]) -> List[Tuple[MesherNode, int, int]]:
+    """Every (node, destination, fate) whose next-hop chain breaks or
+    cycles, in node-major, destination-sorted order.
+
+    Fates are resolved one destination at a time, each pair once: a
+    node's fate is its next hop's, so the memo of one destination lets
+    every chain stop at the first node already resolved.  Only the
+    breaking and cycling pairs outlive their destination's memo.
+    """
+    routes_of = {address: node.table._routes for address, node in live.items()}
+    destinations = set()
+    for routes in routes_of.values():
+        destinations.update(routes)
+    broken = []
+    for dst in destinations:
+        memo: Dict[int, int] = {}
+        for address, routes in routes_of.items():
+            entry = routes.get(dst)
+            if entry is None:
+                continue
+            fate = memo.get(address)
+            if fate is None:
+                via = entry.via
+                fate = _DELIVERED if via == dst else memo.get(via)
+                if fate is None:
+                    fate = _chain_fate(address, via, dst, routes_of, memo)
+                else:
+                    memo[address] = fate
+            if fate >= _BREAK:
+                broken.append((address, dst, fate))
+    rank = {address: i for i, address in enumerate(live)}
+    broken.sort(key=lambda pair: (rank[pair[0]], pair[1]))
+    return [(live[address], dst, fate) for address, dst, fate in broken]
+
+
 class InvariantChecker:
     """Audits a :class:`~repro.net.api.MeshNetwork` against the global
     protocol invariants.
@@ -202,8 +282,10 @@ class InvariantChecker:
         # Graced-state tracking across audits.
         self._loop_seen: Dict[Tuple[int, int], _Persistence] = {}
         self._monotone_seen: Dict[Tuple[int, int], _Persistence] = {}
-        # Exactly-once ledger: (receiver, src, seq_id, kind) -> last time.
+        # Exactly-once ledger: (receiver, src, seq_id, kind) -> last time,
+        # swept of out-of-window keys once it outgrows _deliveries_cap.
         self._deliveries: Dict[Tuple[int, int, int, str], float] = {}
+        self._deliveries_cap = _LEDGER_MIN_CAP
         # Stream-ordering ledger: (receiver, peer, stream_id, side) ->
         # next expected message sequence.
         self._stream_next: Dict[Tuple[int, int, int, bool], int] = {}
@@ -361,11 +443,14 @@ class InvariantChecker:
             )
         self._deliveries[key] = now
         # Ledger hygiene: drop entries the transport itself has forgotten.
-        if len(self._deliveries) > 4096:
+        # The cap doubles past what a sweep keeps, so a ledger of live
+        # keys is swept O(log n) times, not once per delivery.
+        if len(self._deliveries) > self._deliveries_cap:
             horizon = now - window
             self._deliveries = {
                 k: t for k, t in self._deliveries.items() if t >= horizon
             }
+            self._deliveries_cap = max(_LEDGER_MIN_CAP, 2 * len(self._deliveries))
 
     def _on_stream_event(
         self, receiver: int, kind: str, peer: int, stream_id: int, side: bool, msg_seq: int
@@ -404,7 +489,14 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def audit(self) -> List[Violation]:
         """Run every global check once; returns violations found *by
-        this call* (also appended to :attr:`violations`)."""
+        this call* (also appended to :attr:`violations`).
+
+        One sweep reads every live node's whole table.  The table pass
+        checks each (node, destination) entry once; the loop phase then
+        resolves every pair's next-hop chain once, through a memo per
+        destination, and revisits only the pairs whose chain breaks or
+        cycles.
+        """
         before = len(self.violations)
         live = {
             n.address: n
@@ -420,39 +512,48 @@ class InvariantChecker:
         return self.violations[before:]
 
     def _audit_tables(self, node: MesherNode, live: Dict[int, MesherNode]) -> None:
-        table = node.table
-        for entry in table:
-            self._check_entry_sanity(node, entry)
+        """Per-entry checks in table order: sanity, via-consistency and
+        monotonicity, building a violation only once a cheap test fails.
+        Tables are read through their route dicts: the audit touches
+        every pair, and the checker only reads."""
+        address = node.address
+        routes = node.table._routes
+        max_metric = node.table.max_metric
+        monotone_seen = self._monotone_seen
+        for dst in sorted(routes):
+            entry = routes[dst]
+            metric = entry.metric
+            via = entry.via
+            if not 1 <= metric <= max_metric or (metric == 1) != (via == dst):
+                self._check_entry_sanity(node, entry)
             # Via-consistency: next hop must be a live direct neighbour.
-            via_entry = table.get(entry.via)
-            if via_entry is None or not via_entry.is_neighbour:
+            via_entry = routes.get(via)
+            if via_entry is None or via_entry.metric != 1 or via_entry.via != via_entry.address:
                 self._violate(
                     Invariant.VIA_CONSISTENCY,
-                    node.address,
-                    f"route to 0x{entry.address:04X} via 0x{entry.via:04X}, "
+                    address,
+                    f"route to 0x{dst:04X} via 0x{via:04X}, "
                     "but the via is not a current direct neighbour",
                 )
-                continue
-            # Graced monotonicity along the via chain.
-            if entry.metric > 1:
-                self._check_monotone(node, entry, live)
+            elif metric > 1:
+                # Graced monotonicity along the via chain.
+                via_node = live.get(via)
+                if via_node is None:
+                    downstream = None
+                else:
+                    downstream = via_node.table._routes.get(dst)
+                    if downstream is None:
+                        # The next hop lost its route first — a chain
+                        # break the next hello round repairs (or
+                        # expires); benign.
+                        self._observe("chain_break")
+                if downstream is not None and downstream.metric >= metric:
+                    self._non_monotone(node, entry, downstream)
+                elif monotone_seen:
+                    monotone_seen.pop((address, dst), None)
 
-    def _check_monotone(self, node: MesherNode, entry, live: Dict[int, MesherNode]) -> None:
+    def _non_monotone(self, node: MesherNode, entry, downstream) -> None:
         key = (node.address, entry.address)
-        via_node = live.get(entry.via)
-        if via_node is None:
-            self._monotone_seen.pop(key, None)
-            return
-        downstream = via_node.table.get(entry.address)
-        if downstream is None:
-            # The next hop lost its route first — a chain break the next
-            # hello round repairs (or expires); benign.
-            self._observe("chain_break")
-            self._monotone_seen.pop(key, None)
-            return
-        if downstream.metric < entry.metric:
-            self._monotone_seen.pop(key, None)
-            return
         self._observe("non_monotone")
         now = self.sim.now
         state = self._monotone_seen.get(key)
@@ -472,36 +573,41 @@ class InvariantChecker:
             del self._monotone_seen[key]
 
     def _audit_loops(self, live: Dict[int, MesherNode]) -> None:
+        """Count chain breaks and grade cycles, in node-major,
+        destination-sorted order, for the pairs whose chain breaks or
+        cycles."""
         now = self.sim.now
         seen_this_audit = set()
-        for node in live.values():
-            for dst in node.table.destinations():
-                cycle = self._walk(node, dst, live)
-                if cycle is None:
-                    continue
-                if dst not in live:
-                    # Ghost destination: the mesh is counting a dead node
-                    # to infinity — expected debris, never a violation.
-                    self._observe("loop_ghost")
-                    continue
-                self._observe("loop_transient")
-                key = (node.address, dst)
-                seen_this_audit.add(key)
-                state = self._loop_seen.get(key)
-                detail = (
-                    f"cycle towards 0x{dst:04X}: "
-                    + " -> ".join(f"0x{a:04X}" for a in cycle)
+        for node, dst, fate in _broken_chains(live):
+            if fate == _BREAK:
+                # A downstream hop has no route: frames on that chain
+                # drop, they do not loop.
+                self._observe("chain_break")
+                continue
+            cycle = self._walk(node, dst, live)
+            if dst not in live:
+                # Ghost destination: the mesh is counting a dead node
+                # to infinity — expected debris, never a violation.
+                self._observe("loop_ghost")
+                continue
+            self._observe("loop_transient")
+            key = (node.address, dst)
+            seen_this_audit.add(key)
+            state = self._loop_seen.get(key)
+            detail = (
+                f"cycle towards 0x{dst:04X}: "
+                + " -> ".join(f"0x{a:04X}" for a in cycle)
+            )
+            if state is None:
+                self._loop_seen[key] = _Persistence(now, detail)
+            elif now - state.first_seen > self.loop_grace_s:
+                self._violate(
+                    Invariant.ROUTING_LOOP,
+                    node.address,
+                    f"{detail} — persisted {now - state.first_seen:.0f}s "
+                    f"(grace {self.loop_grace_s:.0f}s)",
                 )
-                if state is None:
-                    self._loop_seen[key] = _Persistence(now, detail)
-                elif now - state.first_seen > self.loop_grace_s:
-                    self._violate(
-                        Invariant.ROUTING_LOOP,
-                        node.address,
-                        f"{detail} — persisted {now - state.first_seen:.0f}s "
-                        f"(grace {self.loop_grace_s:.0f}s)",
-                    )
-                    del self._loop_seen[key]
+                del self._loop_seen[key]
         # Cycles that healed since the last audit leave the ledger.
         for key in list(self._loop_seen):
             if key not in seen_this_audit:
@@ -509,37 +615,20 @@ class InvariantChecker:
 
     def _walk(
         self, origin: MesherNode, dst: int, live: Dict[int, MesherNode]
-    ) -> Optional[List[int]]:
-        """Follow next hops from ``origin`` towards ``dst``.
-
-        Returns the visited chain when it cycles, None when it
-        terminates (delivery, a dead hop, or a missing route — the
-        latter two are counted, not violations: frames on that chain
-        drop, they do not loop).
-        """
+    ) -> List[int]:
+        """Follow next hops from ``origin`` towards ``dst``, a chain
+        :func:`_broken_chains` found cycling, and return the visited
+        addresses with the first repeat last (the path the violation
+        reports)."""
         visited = [origin.address]
         current = origin
-        for _ in range(len(live) + 1):
+        while True:
             next_hop = current.table.next_hop(dst)
-            if next_hop is None:
-                if current is not origin:
-                    self._observe("chain_break")
-                return None
-            if next_hop == dst:
-                return None
             if next_hop in visited:
                 visited.append(next_hop)
                 return visited
             visited.append(next_hop)
-            nxt = live.get(next_hop)
-            if nxt is None:
-                # Next hop is dead: via-consistency / expiry will clean
-                # this up; the chain cannot loop through a dead radio.
-                return None
-            current = nxt
-        # Chain longer than the node count without repeating — impossible
-        # unless addresses leak; flag loudly as a loop.
-        return visited
+            current = live[next_hop]
 
     def _audit_conservation(self, node: MesherNode) -> None:
         for label, queue in (("send_queue", node.send_queue), ("inbox", node.inbox)):

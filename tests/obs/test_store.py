@@ -358,6 +358,49 @@ class TestStoreRecorder:
             assert node.reliable.on_deliver is None
         store.close()
 
+    def test_forward_rows_are_sorted_json_of_each_decision(self, tmp_path):
+        from repro.net.forwarding import ForwardAction, classify
+        from repro.net.packets import AckPacket, DataPacket
+
+        net = MeshNetwork.from_positions(line_positions(3, spacing_m=100.0), config=CONFIG, seed=1)
+        assert net.run_until_converged(timeout_s=1200.0) is not None
+        a, b, c = (node.address for node in net.nodes)
+        middle = net.nodes[1]
+        store = EventStore(tmp_path / "run.db")
+        recorder = StoreRecorder(store, net, frames=False).attach()
+        packets = [
+            DataPacket(dst=c, src=a, via=b, payload=b"x"),  # forward to c
+            AckPacket(dst=a, src=c, via=b, seq_id=7, number=2),  # forward to a
+            DataPacket(dst=0x0BAD, src=a, via=b, payload=b""),  # no route
+            DataPacket(dst=c, src=a, via=0x0BEE, payload=b""),  # overhear
+            DataPacket(dst=b, src=a, via=b, payload=b""),  # deliver
+        ]
+        expected = []
+        for packet in packets:
+            decision = classify(packet, b, middle.table, previous_hop=a)
+            middle.on_forward_decision(packet, decision, a)
+            if decision.action in (ForwardAction.FORWARD, ForwardAction.NO_ROUTE):
+                row = {
+                    "action": decision.action.value,
+                    "packet": type(packet).__name__,
+                    "src": packet.src,
+                    "dst": packet.dst,
+                }
+                if decision.next_hop is not None:
+                    row["next_hop"] = decision.next_hop
+                expected.append(json.dumps(row, sort_keys=True))
+        store.flush()
+        stored = [
+            data
+            for (data,) in store._conn.execute(
+                "SELECT data FROM events WHERE kind = 'forward' ORDER BY id"
+            )
+        ]
+        assert [json.loads(row)["action"] for row in stored] == ["forward", "forward", "no_route"]
+        assert stored == expected  # byte for byte; overhear and deliver add no row
+        recorder.detach()
+        store.close()
+
     def test_recording_is_outcome_invisible(self, tmp_path):
         def fingerprint(with_store):
             net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=9)

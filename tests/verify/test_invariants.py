@@ -241,3 +241,30 @@ class TestFlips:
         summary = checker.summary()
         assert set(summary["violations"]) == {inv.value for inv in Invariant}
         assert summary["audits"] == 1
+
+
+class TestExactlyOnceLedger:
+    def test_sweeps_are_amortised_and_keep_the_window_rule(self):
+        net = converged_line(3)
+        a = net.nodes[0]
+        checker = InvariantChecker(net, strict=True).attach()
+        window = a.reliable.DEDUP_WINDOW_S
+        a.reliable.on_deliver(0x0002, 0, "stale")
+        net.sim.run(until=net.sim.now + window + 1.0)
+        # 6,000 distinct keys, all inside the window: each sweep keeps
+        # them all, so sweeping per delivery would copy the ledger
+        # thousands of times.
+        ledger_ids = [id(checker._deliveries)]
+        for seq in range(6000):
+            a.reliable.on_deliver(0x0003, seq, "single")
+            if id(checker._deliveries) != ledger_ids[-1]:
+                ledger_ids.append(id(checker._deliveries))
+        assert 1 <= len(ledger_ids) - 1 <= 4
+        # The first sweep dropped the key older than the window ...
+        assert (a.address, 0x0002, 0, "stale") not in checker._deliveries
+        assert len(checker._deliveries) == 6000
+        # ... and an in-window repeat is still caught.
+        with pytest.raises(InvariantViolation) as exc:
+            a.reliable.on_deliver(0x0003, 17, "single")
+        assert exc.value.violation.invariant is Invariant.EXACTLY_ONCE
+        checker.detach()
