@@ -44,32 +44,15 @@ LARGE_N_CONFIG = MesherConfig(
     send_queue_capacity=64,
 )
 
-#: Profile for the 5000-node point.  Two LARGE_N_CONFIG limits silently
-#: make convergence *impossible* at that scale: the seed-5 placement has
-#: an 89-hop diameter (> max_metric=64, so the far rim can never install
-#: routes), and a 5000-entry table beacons as 81 ROUTING frames — past
-#: the 64-slot send queue, which would drop the same tail chunks every
-#: period.  The wire metric is u8, so 192 leaves cold-start transients
-#: headroom; everything else stays identical to LARGE_N_CONFIG.
-XL_N_CONFIG = MesherConfig(
-    lora=LoRaParams(bandwidth=Bandwidth.BW500),
-    region=UNRESTRICTED,
-    hello_period_s=120.0,
-    route_timeout_s=7200.0,
-    purge_period_s=900.0,
-    max_metric=192,
-    send_queue_capacity=128,
-)
-
-
 def _connected_placement(n: int, seed: int, config, side_scale: float):
     budget = LinkBudget(LogDistancePathLoss())
     rng = random.Random(seed)
     side = side_scale * max(2.0, (n / 2.0) ** 0.5)
     for attempt in range(50):
         # The attempt budget scales with n: rejection sampling near the
-        # packing density needs ~constant draws *per node*, so the
-        # default 10k total cap (fine up to n=1000) starves n=5000.
+        # packing density needs ~constant draws *per node*, so a fixed
+        # total cap (the default 10k is fine up to n=1000) starves
+        # larger placements.
         # The cap never alters the draw sequence, so placements for
         # small n are unchanged.
         positions = random_positions(
@@ -114,14 +97,11 @@ def measure(n: int, seed: int):
     }
 
 
-def measure_large(n: int, seed: int, config: MesherConfig = LARGE_N_CONFIG):
-    """One large-N point under ``config`` (default
-    :data:`LARGE_N_CONFIG`), with wall-clock.  The placement always uses
-    LARGE_N_CONFIG's radio parameters, so config overrides that keep the
-    same ``lora`` produce the identical connectivity graph."""
+def measure_large(n: int, seed: int):
+    """One large-N point under :data:`LARGE_N_CONFIG`, with wall-clock."""
     positions, stats = connected_placement_large(n, seed)
     net = MeshNetwork.from_positions(
-        positions, config=config, seed=seed, trace_enabled=False
+        positions, config=LARGE_N_CONFIG, seed=seed, trace_enabled=False
     )
     start = time.perf_counter()
     convergence = net.run_until_converged(timeout_s=86400.0, check_period_s=120.0)
@@ -144,7 +124,6 @@ def measure_large_sharded(
     shards: int,
     workers: int,
     window_s: float = 5.0,
-    config: MesherConfig = LARGE_N_CONFIG,
 ):
     """One large-N point through the sharded runner (same placement and
     convergence cadence as :func:`measure_large`).  ``window_s=5`` is the
@@ -158,7 +137,7 @@ def measure_large_sharded(
         positions,
         shards=shards,
         workers=workers,
-        config=config,
+        config=LARGE_N_CONFIG,
         seed=seed,
         window_s=window_s,
         converge_timeout_s=86400.0,
@@ -306,18 +285,3 @@ def test_e4_large_n_1000(benchmark):
     result = benchmark.pedantic(lambda: measure_large(1000, seed=5), rounds=1, iterations=1)
     _check_large_point(result)
     assert result["wall_s"] < 1800.0
-
-
-@pytest.mark.slow
-def test_e4_large_n_5000(benchmark):
-    """5000-node convergence point (never recorded: hours of wall).
-
-    Runs under :data:`XL_N_CONFIG` — the seed-5 placement's 89-hop
-    diameter and 81-frame hello trains overflow LARGE_N_CONFIG's
-    max_metric/send-queue limits.  81 hello frames per beacon cycle per
-    node and 25M table rows at convergence: run manually (`-m slow`),
-    expect hours; BENCH_perf.json records the measured numbers."""
-    result = benchmark.pedantic(
-        lambda: measure_large(5000, seed=5, config=XL_N_CONFIG), rounds=1, iterations=1
-    )
-    _check_large_point(result)

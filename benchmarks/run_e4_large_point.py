@@ -1,16 +1,16 @@
 """Standalone E4 large-N point runner with progress logging.
 
-The n=5000 point takes hours on one core; running it inside pytest gives
+The n=1000 point takes minutes of wall; running it inside pytest gives
 no visibility and no partial result.  This script runs the identical
-measurement (`measure_large` semantics: same placement, same config,
-same convergence loop granularity) but logs a progress line per
-convergence check and writes the final row as JSON, so a long run can be
-watched — and its trajectory kept — from outside.
+measurement (`measure_large` semantics: same placement, same
+LARGE_N_CONFIG, same convergence loop granularity) but logs a progress
+line per convergence check and writes the final row as JSON, so a long
+run can be watched — and its trajectory kept — from outside.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_e4_large_point.py \
-        --n 5000 --seed 5 --out /tmp/e4_n5000.json
+        --n 1000 --seed 5 --out e4_n1000.json
 """
 
 from __future__ import annotations
@@ -23,31 +23,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.bench_e4_scalability import (
-    LARGE_N_CONFIG,
-    XL_N_CONFIG,
-    connected_placement_large,
-)
+from benchmarks.bench_e4_scalability import LARGE_N_CONFIG, connected_placement_large
 from repro.net.api import MeshNetwork
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=5000)
+    parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--timeout-s", type=float, default=86400.0)
     parser.add_argument("--check-period-s", type=float, default=120.0)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--config",
-        choices=("large", "xl"),
-        default=None,
-        help="mesher profile (default: xl for n>1000, large otherwise)",
-    )
     args = parser.parse_args()
-
-    profile = args.config or ("xl" if args.n > 1000 else "large")
-    config = XL_N_CONFIG if profile == "xl" else LARGE_N_CONFIG
 
     t0 = time.perf_counter()
     positions, stats = connected_placement_large(args.n, args.seed)
@@ -58,7 +45,7 @@ def main() -> int:
     )
 
     net = MeshNetwork.from_positions(
-        positions, config=config, seed=args.seed, trace_enabled=False
+        positions, config=LARGE_N_CONFIG, seed=args.seed, trace_enabled=False
     )
     start = time.perf_counter()
     convergence = None
@@ -83,7 +70,6 @@ def main() -> int:
     result = {
         "n": args.n,
         "seed": args.seed,
-        "config": profile,
         "diameter": stats.diameter,
         "convergence_s": convergence,
         "wall_s": wall_s,

@@ -22,7 +22,7 @@ Most users want :class:`repro.MeshNetwork`::
 
 Subpackages
 -----------
-``repro.sim``       discrete-event kernel, processes, RNG streams
+``repro.sim``       discrete-event kernel, timers, RNG streams
 ``repro.phy``       airtime, path loss, link budget, duty-cycle rules
 ``repro.medium``    the shared channel (collisions, capture)
 ``repro.radio``     SX127x-style half-duplex driver

@@ -128,7 +128,6 @@ def run_protocol(
     verify_audit_period_s: float = 30.0,
     fault_plan: Optional[FaultPlan] = None,
     store: Optional[Union[str, Path]] = None,
-    store_frames: bool = True,
     shards: int = 1,
     shard_workers: Optional[int] = None,
     shard_window_s: float = 1.0,
@@ -157,14 +156,13 @@ def run_protocol(
     blackouts, burst loss) before the scenario starts.
 
     ``store`` streams the run into a WAL-mode
-    :class:`~repro.obs.store.EventStore` at that path: frames (unless
-    ``store_frames=False``), route events, forwarding decisions,
-    deliveries, invariant violations, and registry samples, queryable
-    live by ``repro serve`` while the run executes.  Recording rides
-    observer taps only, so the run's outcome is identical with the
-    store on or off.  When ``sample_period_s`` is not given, a store
-    run samples every 60 simulated seconds so dashboards get health
-    trajectories.
+    :class:`~repro.obs.store.EventStore` at that path: frames, route
+    events, forwarding decisions, deliveries, invariant violations, and
+    registry samples, queryable live by ``repro serve`` while the run
+    executes.  Recording rides observer taps only, so the run's outcome
+    is identical with the store on or off.  When ``sample_period_s`` is
+    not given, a store run samples every 60 simulated seconds so
+    dashboards get health trajectories.
 
     ``shards`` > 1 (MESH only) runs the scenario on the sharded
     multi-process runner (:func:`repro.sim.shard.run_sharded`): the
@@ -205,9 +203,7 @@ def run_protocol(
         event_store.set_meta("seed", seed)
         event_store.set_meta("n_nodes", len(positions))
         event_store.set_meta("duration_s", duration_s)
-        store_recorder = StoreRecorder(
-            event_store, net, sampler=sampler, checker=checker, frames=store_frames
-        ).attach()
+        store_recorder = StoreRecorder(event_store, net, sampler=sampler, checker=checker).attach()
 
     def _attach_sampler(net) -> Optional[TimeSeriesSampler]:
         if sample_period_s is None:

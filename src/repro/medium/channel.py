@@ -256,18 +256,19 @@ class Medium:
         # mid-resolution, which must not disturb the in-progress loop).
         self._listener_snapshot: Optional[Tuple[MediumListener, ...]] = None
         #: Optional sniffer hook: called once per completed transmission
-        #: with the per-listener outcomes (see repro.trace.capture; tap
-        #: it with repro.sim.taps.tap).  Tapping it disables the
-        #: aggregate accounting fast path — per-listener outcomes
-        #: require the full resolution loop.
+        #: with the per-listener outcomes; its one consumer is
+        #: repro.trace.capture.AirCapture (tap it with
+        #: repro.sim.taps.tap).  Tapping it disables the aggregate
+        #: accounting fast path — per-listener outcomes require the
+        #: full resolution loop.
         self.on_transmission: Optional[
             Callable[[Transmission, Dict[int, DropReason]], None]
         ] = None
         #: Optional *lightweight* sniffer: called once per completed
         #: transmission with the transmission only (no outcomes), from
         #: both the aggregate and the per-listener completion paths, so
-        #: attaching it keeps the fast path.  The event store's default
-        #: frame stream uses this.
+        #: attaching it keeps the fast path.  The event store records
+        #: every frame through it.
         self.on_frame: Optional[Callable[[Transmission], None]] = None
         #: Optional hook fired the instant a *local* frame goes on the
         #: air (from :meth:`begin_transmission`, not from

@@ -29,13 +29,6 @@ from repro.net.packets import NodeRole, RoutingEntry
 #: Plain-int default role, hoisted out of the per-hello hot path.
 _DEFAULT_ROLE = int(NodeRole.DEFAULT)
 
-#: Merge-memo entries kept before half of the (insertion-oldest) keys
-#: are evicted.  Keys are neighbour addresses, so a static deployment
-#: never reaches the cap; mobile scenarios meet a stream of transient
-#: neighbours whose memos (each pinning an entries tuple) would
-#: otherwise accumulate forever.
-_MERGE_MEMO_MAX = 64
-
 logger = logging.getLogger(__name__)
 
 
@@ -69,6 +62,14 @@ class RoutingTable:
 
     ``self_address`` is never stored (a node does not route to itself);
     entries advertising it are skipped during merges.
+
+    Every hello is merged row by row, and the table keeps no state per
+    sender.  A merge that changes no route only refreshes the
+    ``updated_at`` of the routes it follows and leaves :attr:`version`
+    alone, which is what lets the hello service reuse its built packets
+    across beacons.  :meth:`snapshot` builds the advertised rows afresh
+    on each call, reusing each row's wire entry
+    (``RouteEntry.advertised``) while its metric and role hold.
     """
 
     def __init__(
@@ -100,27 +101,6 @@ class RoutingTable:
         #: Consumers (the hello service) use it to reuse built ROUTING
         #: packets across beacons while the table is stable.
         self._version: int = 0
-        #: Companion counter for the merge memo: bumped whenever any
-        #: entry's ``received_snr_db`` changes *value* (timestamp-only
-        #: refreshes keep it stable).  Together with ``_version`` it
-        #: covers every input the merge rules read.
-        self._snr_version: int = 0
-        #: Per-neighbour memo of a no-op hello merge: (entries tuple,
-        #: table version, snr version, entries refreshed in place).  A
-        #: stable network re-broadcasts the *same* ROUTING packet objects
-        #: (hello/build cache + decode memo), so once a merge produced no
-        #: route change, replaying it against an unchanged table reduces
-        #: to the timestamp refreshes the original merge performed.  It
-        #: holds one record per sender, and a table longer than one frame
-        #: (62 rows) goes out as several chunks per beacon that evict
-        #: each other's record, so such senders almost never replay.
-        self._merge_memo: Dict[int, tuple] = {}
-        #: Memoized snapshot() rows, keyed on (version, self_role):
-        #: stable-network beacons re-advertise an unchanged table every
-        #: hello period, and rebuilding + re-sorting the row list each
-        #: time was pure waste.  Timestamp-only refreshes keep the
-        #: version (and therefore the memo) valid.
-        self._snapshot_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Learning
@@ -143,11 +123,8 @@ class RoutingTable:
                 current.role = role
                 self._version += 1
             current.updated_at = now
-            if current.received_snr_db != snr_db:
-                # SNR feeds the equal-metric tie-break, so a value change
-                # invalidates memoized merge decisions.
-                self._snr_version += 1
-                current.received_snr_db = snr_db
+            # The equal-metric tie-break reads the latest hello SNR.
+            current.received_snr_db = snr_db
             return
         entry = RouteEntry(
             address=neighbour,
@@ -183,26 +160,7 @@ class RoutingTable:
                 sender_role = row.role
                 break
         self.heard_from(src, now, role=sender_role, snr_db=snr_db)
-        memo = self._merge_memo.get(src)
-        if (
-            memo is not None
-            and memo[0] is entries
-            and memo[1] == self._version
-            and memo[2] == self._snr_version
-        ):
-            # The *same* packet object merged against an unchanged table:
-            # the merge rules are a pure function of (entries, table,
-            # SNR state), so this replay decides exactly what the
-            # recorded pass decided — no route changes, just timestamp
-            # refreshes on the entries it refreshed then.  In a converged
-            # network the replays come from senders whose table fits one
-            # frame; longer tables almost never replay (see
-            # ``_merge_memo``).
-            for current in memo[3]:
-                current.updated_at = now
-            return 0
         changed = 0
-        refreshed: List[RouteEntry] = []
         self_addr = self.self_address
         max_metric = self.max_metric
         routes = self._routes
@@ -244,7 +202,6 @@ class RoutingTable:
                 current.metric = metric
                 current.role = role
                 current.updated_at = now
-                refreshed.append(current)
                 if meaningful:
                     self._notify("updated", current)
                     changed += 1
@@ -253,25 +210,6 @@ class RoutingTable:
                 routes[address] = entry
                 self._notify("updated", entry)
                 changed += 1
-        if changed == 0 and type(entries) is tuple:
-            # Only immutable payloads are memoized: a list could be
-            # edited before it is merged again under the same identity.
-            # Pin the entries tuple so its id cannot be recycled while
-            # the memo lives; any later table/SNR change ages it out via
-            # the version checks.
-            memo_table = self._merge_memo
-            if src not in memo_table and len(memo_table) >= _MERGE_MEMO_MAX:
-                # Bound the memo under neighbour churn: drop the oldest
-                # half (insertion order) rather than one-at-a-time, the
-                # same amortised idiom as the codec caches.
-                for key in list(memo_table)[: _MERGE_MEMO_MAX // 2]:
-                    del memo_table[key]
-            memo_table[src] = (
-                entries,
-                self._version,
-                self._snr_version,
-                tuple(refreshed),
-            )
         return changed
 
     def set_route(
@@ -334,11 +272,6 @@ class RoutingTable:
         ]
         for entry in expired:
             del self._routes[entry.address]
-            # The memo is keyed by teaching neighbour: once the direct
-            # route to a neighbour expires, its recorded no-op merge can
-            # never validate again (the expiry bumped the version), so
-            # keeping it would only pin the dead packet's entries tuple.
-            self._merge_memo.pop(entry.address, None)
             self._notify("removed", entry)
         return expired
 
@@ -349,9 +282,6 @@ class RoutingTable:
         for entry in dropped:
             del self._routes[entry.address]
             self._notify("removed", entry)
-        # The departed neighbour will not replay its last hello; evict its
-        # memo so the table does not pin it indefinitely.
-        self._merge_memo.pop(neighbour, None)
         return dropped
 
     # ------------------------------------------------------------------
@@ -412,9 +342,6 @@ class RoutingTable:
         compute metric 1 for the direct route — matching the firmware,
         where the hello's source is itself the metric-0 row.
         """
-        cache = self._snapshot_cache
-        if cache is not None and cache[0] == self._version and cache[1] == self_role:
-            return list(cache[2])
         rows = [RoutingEntry(address=self.self_address, metric=0, role=self_role)]
         # Table rows were validated on the way in; skip re-validation.
         # Each row's wire entry is memoized on the RouteEntry and reused
@@ -430,7 +357,6 @@ class RoutingTable:
                 adv = trusted(e.address, e.metric, e.role)
                 e.advertised = adv
             append(adv)
-        self._snapshot_cache = (self._version, self_role, tuple(rows))
         return rows
 
     def format(self) -> str:

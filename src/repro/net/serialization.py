@@ -41,17 +41,8 @@ class DecodeError(Exception):
     """Raised for any buffer that is not a well-formed packet."""
 
 
-#: Identity-keyed encode memo.  Packet dataclasses are all frozen, so a
-#: given object always serializes to the same bytes; the hello service
-#: re-enqueues the *same* RoutingPacket objects while the table is
-#: unchanged, making repeated encodes free.  Each value pins the packet
-#: so its id() cannot be recycled while the entry lives.
-_ENCODE_CACHE: dict = {}
-_ENCODE_CACHE_MAX = 65_536
-
-
 def _evict_oldest_half(cache: dict) -> None:
-    """Drop the least recently inserted half of a codec cache.
+    """Drop the least recently inserted half of the decode memo.
 
     A wholesale clear made a large network (every node beaconing a
     multi-frame table) rebuild the whole working set right after each
@@ -70,17 +61,14 @@ def encode(packet: Packet) -> bytes:
     packet equal to what the decoder would build is seeded: exactly a
     :class:`RoutingPacket` typed ROUTING with no address-0 row (the one
     row check the decoder adds).  An equal buffer already memoized keeps
-    its object, so a sender that rebuilds an unchanged chunk still hands
-    listeners the entries tuple their merge memos pinned.
+    its object, so every listener of a beacon content gets one packet,
+    even when the sender rebuilt an unchanged chunk.
+
+    Nothing is memoized by packet identity: few encodes repeat a packet
+    object (a reused hello, a retransmission), and such a memo would pin
+    every packet it keys.
     """
-    hit = _ENCODE_CACHE.get(id(packet))
-    if hit is not None and hit[0] is packet:
-        buffer = hit[1]
-    else:
-        buffer = _encode(packet)
-        if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-            _evict_oldest_half(_ENCODE_CACHE)
-        _ENCODE_CACHE[id(packet)] = (packet, buffer)
+    buffer = _encode(packet)
     if (
         type(packet) is RoutingPacket
         and buffer not in _DECODE_CACHE
@@ -137,9 +125,11 @@ def decode(buffer: bytes) -> Packet:
     beacon's bytes are memoized when the sender encodes them (see
     :func:`encode`), so its listeners get the sender's own ROUTING packet
     and the routing table merges straight from its ``entries``; nothing
-    is parsed or copied per beacon.  The cap covers a 1000-node
-    network's full beacon working set (every node's chunked table) so
-    broadcast receivers decode each frame once, not once per receiver.
+    is parsed or copied per beacon.  This is the codec's only memo, and
+    nothing downstream keys on the shared objects' identity.  The cap
+    covers a 1000-node network's full beacon working set (every node's
+    chunked table) so broadcast receivers decode each frame once, not
+    once per receiver.
     """
     packet = _DECODE_CACHE.get(buffer)
     if packet is None:

@@ -584,14 +584,12 @@ class StoreRecorder:
         net.run(for_s=3600)
         recorder.detach(); store.close()
 
-    ``frames`` selects the per-transmission stream (the highest-volume
-    one): ``True`` (default) records every frame through the medium's
-    lightweight ``on_frame`` hook — raw payload, no per-listener
-    outcomes — which keeps the aggregate reception fast path;
-    ``"full"`` uses the ``on_transmission`` sniffer to also record
-    per-listener delivery outcomes (disables the fast path — outcome-
-    equivalent but slower); ``False`` skips frames entirely for runs
-    where only routes/health/violations matter.
+    Frames, the highest-volume stream, are recorded through the medium's
+    lightweight ``on_frame`` hook: raw payload and airtime, no
+    per-listener outcomes, so the medium keeps its aggregate reception
+    fast path.  A store that needs per-listener outcomes imports an
+    :class:`~repro.trace.capture.AirCapture` export instead
+    (:meth:`EventStore.import_capture_jsonl`).
     """
 
     def __init__(
@@ -601,17 +599,11 @@ class StoreRecorder:
         *,
         sampler=None,
         checker=None,
-        frames: bool = True,
-        forwards: bool = True,
     ) -> None:
         self.store = store
         self.net = net
         self.sampler = sampler
         self.checker = checker
-        if frames not in (True, False, "full"):
-            raise ValueError(f"frames must be True, False or 'full', got {frames!r}")
-        self.frames = frames
-        self.forwards = forwards
         self._active = False
         # Hot-path caches: the frame hook bypasses append_encoded.
         self._buffer = store._buffer
@@ -636,9 +628,7 @@ class StoreRecorder:
             self.store.add_node(node.address, name, x, y)
             self._tap_node(node)
         medium = getattr(self.net, "medium", None)
-        if self.frames == "full" and medium is not None:
-            self._taps.append(tap(medium, "on_transmission", self._on_transmission))
-        elif self.frames and medium is not None:
+        if medium is not None:
             self._taps.append(tap(medium, "on_frame", self._on_frame))
         trace = getattr(self.net, "trace", None)
         if trace is not None and hasattr(trace, "subscribe"):
@@ -685,10 +675,9 @@ class StoreRecorder:
         if manager is not None:
             self.watch_stream_manager(manager)
         self._taps.append(tap(node, "on_route_event", partial(self._on_route_event, node)))
-        if self.forwards:
-            self._taps.append(
-                tap(node, "on_forward_decision", partial(self._on_forward_decision, node))
-            )
+        self._taps.append(
+            tap(node, "on_forward_decision", partial(self._on_forward_decision, node))
+        )
         self._taps.append(tap(node, "on_app_delivery", partial(self._on_app_delivery, node)))
 
     def watch_stream_manager(self, manager) -> None:
@@ -785,19 +774,6 @@ class StoreRecorder:
         )
         if len(buffer) >= self._batch_size:
             self.store.flush()
-
-    def _on_transmission(self, tx, outcomes) -> None:
-        # frames="full" path: per-listener outcomes included.
-        outcomes_json = ", ".join(
-            f'"{n}": "{r._value_}"' for n, r in outcomes.items()
-        )
-        data = (
-            f'{{"airtime_s": {tx.airtime!r}, "outcomes": {{{outcomes_json}}}, '
-            f'"payload": "{tx.payload.hex()}"}}'
-        )
-        self.store.append_encoded(
-            tx.start, KIND_FRAME, data, node=tx.sender_id, wall=self._wall()
-        )
 
     def _on_trace_event(self, event) -> None:
         detail = {

@@ -2,27 +2,20 @@
 
 This package is the substrate that replaces the paper's FreeRTOS runtime:
 a deterministic, single-threaded event scheduler with simulated time,
-cancellable timers, lightweight generator-based processes, and named
-deterministic random-number streams.
+cancellable timers, and named deterministic random-number streams.
 
 The kernel is intentionally small and dependency-free so that every other
 subsystem (PHY, medium, radio driver, the LoRaMesher protocol itself) can
 be tested against it in isolation.
 """
 
-from repro.sim.errors import SimulationError, SimulationFinished, ProcessKilled
+from repro.sim.errors import SimulationError
 from repro.sim.kernel import Simulator, EventHandle
-from repro.sim.process import Process, Timeout, Waiter
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "Simulator",
     "EventHandle",
-    "Process",
-    "Timeout",
-    "Waiter",
     "RngRegistry",
     "SimulationError",
-    "SimulationFinished",
-    "ProcessKilled",
 ]

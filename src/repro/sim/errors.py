@@ -5,18 +5,5 @@ class SimulationError(Exception):
     """Base class for every error raised by the simulation kernel."""
 
 
-class SimulationFinished(SimulationError):
-    """Raised internally when the event queue drains before the horizon."""
-
-
-class ProcessKilled(SimulationError):
-    """Injected into a generator process that is being forcibly terminated.
-
-    Processes may catch this to run cleanup, but must re-raise (or simply
-    return) promptly; scheduling further events from a killed process is an
-    error.
-    """
-
-
 class SchedulingError(SimulationError):
     """Raised for invalid scheduling requests (negative delay, past time)."""

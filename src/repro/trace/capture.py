@@ -7,10 +7,12 @@ sensitivity, collided, ...).  This is the simulation analogue of parking
 an SDR next to the testbed, and it is how you debug "why didn't node X
 hear that?" questions without instrumenting protocol code.  Captures
 tap the medium's ``on_transmission`` hook (:mod:`repro.sim.taps`), so
-several of them — and a ``StoreRecorder(frames="full")`` — can share
-one medium.
+several of them can share one medium; they are that hook's only
+consumer.
 
-Captures export to JSON-lines for offline analysis.
+Captures export to JSON-lines for offline analysis, and
+:meth:`repro.obs.store.EventStore.import_capture_jsonl` loads an export
+into an event store as frame rows that keep the per-listener outcomes.
 """
 
 from __future__ import annotations

@@ -54,6 +54,18 @@ class TestTiebreakRules:
         t.process_hello(STRONG, [RoutingEntry(address=FAR, metric=1)], now=1.0, snr_db=-2.0)
         assert t.next_hop(FAR) == STRONG
 
+    def test_resent_beacon_is_judged_on_its_latest_snr(self):
+        # The same entries object heard again at a better SNR must go
+        # through the tie-break again, whatever its earlier merges did.
+        t = table(tiebreak=3.0)
+        t.process_hello(WEAK, [RoutingEntry(address=FAR, metric=1)], now=0.0, snr_db=-5.0)
+        beacon = (RoutingEntry(address=FAR, metric=1),)
+        assert t.process_hello(STRONG, beacon, now=1.0, snr_db=-4.0) == 0
+        assert t.process_hello(STRONG, beacon, now=2.0, snr_db=-4.0) == 0
+        assert t.next_hop(FAR) == WEAK
+        assert t.process_hello(STRONG, beacon, now=3.0, snr_db=0.0) == 1
+        assert t.next_hop(FAR) == STRONG
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             RoutingTable(ME, snr_tiebreak_db=-1.0)

@@ -202,18 +202,18 @@ class TestSnapshot:
         assert ta.metric(0x000B) == 1
         assert ta.metric(0x000C) == 2
 
-    def test_snapshot_memo_returns_fresh_equal_lists(self):
+    def test_snapshot_returns_fresh_equal_lists(self):
         t = table()
         t.heard_from(0x10, now=0.0)
         a = t.snapshot()
         b = t.snapshot()
         assert a == b and a is not b
 
-    def test_snapshot_memo_invalidated_by_version_change(self):
+    def test_snapshot_follows_table_changes(self):
         t = table()
         t.heard_from(0x10, now=0.0)
         assert len(t.snapshot()) == 2
-        t.heard_from(0x20, now=1.0)  # version bump invalidates the memo
+        t.heard_from(0x20, now=1.0)
         assert [r.address for r in t.snapshot()] == [ME, 0x10, 0x20]
 
 
@@ -253,89 +253,20 @@ class TestValidation:
         assert "metric=1" in text
 
 
-class TestMergeMemoEviction:
-    """Regression: the no-op merge memo must not grow without bound in
-    mobile scenarios (ISSUE 5 satellite)."""
-
-    def _noop_hello(self, t, src, now):
-        """Two identical merges: the second is a no-op and lands a memo."""
-        entries = (RoutingEntry(address=FAR, metric=1),)
-        t.process_hello(src, entries, now=now)
-        t.process_hello(src, entries, now=now)
-        return entries
-
-    def test_memo_evicted_when_neighbour_route_expires(self):
-        t = RoutingTable(ME, route_timeout=100.0)
-        self._noop_hello(t, N1, now=0.0)
-        assert N1 in t._merge_memo
-        t.purge(now=500.0)
-        assert N1 not in t._merge_memo
-
-    def test_memo_evicted_on_remove_via(self):
-        t = table()
-        self._noop_hello(t, N1, now=0.0)
-        assert N1 in t._merge_memo
-        t.remove_via(N1)
-        assert N1 not in t._merge_memo
-
-    def test_memo_capped_under_neighbour_churn(self):
-        from repro.net.routing_table import _MERGE_MEMO_MAX
-
-        t = RoutingTable(ME, route_timeout=10_000.0)
-        # A long parade of transient neighbours, each leaving a no-op
-        # memo behind and never expiring within the run.
-        for i in range(4 * _MERGE_MEMO_MAX):
-            src = 0x1000 + i
-            entries = (RoutingEntry(address=FAR, metric=1),)
-            t.process_hello(src, entries, now=float(i))
-            t.process_hello(src, entries, now=float(i))
-        assert len(t._merge_memo) <= _MERGE_MEMO_MAX
-
-    def test_memo_still_correct_after_eviction(self):
-        # Eviction must only cost performance, never change merge results.
-        t = table()
-        entries = (RoutingEntry(address=FAR, metric=1),)
-        t.process_hello(N1, entries, now=0.0)
-        t.process_hello(N1, entries, now=1.0)  # memoized no-op
-        t._merge_memo.clear()  # simulate eviction
-        assert t.process_hello(N1, entries, now=2.0) == 0
-        assert t.get(FAR).updated_at == 2.0
-
-
-class TestMergeMemo:
-    def test_noop_replay_keeps_taught_routes_alive(self):
+class TestRepeatedHello:
+    def test_noop_merge_refreshes_taught_routes(self):
         t = table(route_timeout=100.0)
         rows = (RoutingEntry(address=0x10, metric=1), RoutingEntry(address=0x11, metric=1))
         assert t.process_hello(0x99, rows, now=0.0) == 2
-        assert t.process_hello(0x99, rows, now=10.0) == 0  # memoized no-op
-        # The replayed refresh must move the timestamps forward.
+        assert t.process_hello(0x99, rows, now=10.0) == 0
+        # A merge that changes nothing still moves the timestamps forward.
+        assert t.get(0x10).updated_at == t.get(0x11).updated_at == 10.0
         assert t.purge(now=105.0) == []
         assert t.has_route(0x10) and t.has_route(0x11)
 
-    def test_memo_replay_matches_full_merge(self):
-        # A memo replay must leave the table exactly as a full re-merge
-        # of the same packet would.
-        rows = (
-            RoutingEntry(address=0x10, metric=1),
-            RoutingEntry(address=0x11, metric=2),
-            RoutingEntry(address=0x12, metric=3, role=1),
-        )
-        replayed, merged = table(route_timeout=100.0), table(route_timeout=100.0)
-        for t in (replayed, merged):
-            assert t.process_hello(0x99, rows, now=10.0) == 3
-            assert t.process_hello(0x99, rows, now=15.0) == 0  # lands a memo
-        merged._merge_memo.clear()  # force the full merge path
-        for t in (replayed, merged):
-            assert t.process_hello(0x99, rows, now=20.0) == 0
-        assert 0x99 in replayed._merge_memo
-        assert list(replayed) == list(merged)
-        assert replayed.version == merged.version
-        assert replayed.purge(now=105.0) == merged.purge(now=105.0) == []
-
-    def test_mutated_list_is_merged_again(self):
-        # Lists are mutable, so their identity says nothing about their
-        # rows: a caller re-sending an edited list must not get the
-        # previous no-op decision replayed.
+    def test_edited_list_is_merged_again(self):
+        # A caller re-sending the same list object after editing it gets
+        # the edited rows merged.
         t = table()
         rows = [RoutingEntry(address=0x10, metric=1)]
         t.process_hello(N1, rows, now=0.0)

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from repro.medium.channel import DropReason
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.obs.registry import MetricsRegistry
@@ -18,9 +19,10 @@ from repro.obs.store import (
     KIND_STREAM,
     EventStore,
     StoreRecorder,
+    frame_view,
 )
 from repro.topology.placement import line_positions
-from repro.trace.capture import load_capture_jsonl
+from repro.trace.capture import AirCapture, load_capture_jsonl
 from repro.trace.events import EventKind
 from repro.verify import InvariantChecker
 
@@ -234,7 +236,7 @@ class TestStoreRecorder:
         a, b = net.nodes[0], net.nodes[1]
         manager_a = StreamManager(a)  # exists before attach: auto-tapped
         store = EventStore(tmp_path / "run.db")
-        recorder = StoreRecorder(store, net, frames=False).attach()
+        recorder = StoreRecorder(store, net).attach()
         manager_b = StreamManager(b)  # created after attach
         recorder.watch_stream_manager(manager_b)
         received = []
@@ -259,56 +261,34 @@ class TestStoreRecorder:
         assert all(e.node == b.address for e in deliveries)
         store.close()
 
-    def test_frames_off_skips_transmissions(self, tmp_path):
-        _, store, _ = self.run_recorded(tmp_path, frames=False)
-        assert store.count(kind=KIND_FRAME) == 0
-        assert store.count(kind=KIND_ROUTE) > 0
-        store.close()
+    def test_capture_import_adds_outcomes_to_recorded_frames(self, tmp_path):
+        # The recorder's frame rows carry no per-listener outcomes; an
+        # AirCapture export imported into a store gives the same frames
+        # with the capture's outcomes.
+        net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=8)
+        capture = AirCapture(net.medium)
+        recorded = EventStore(tmp_path / "run.db")
+        recorder = StoreRecorder(recorded, net).attach()
+        net.run(for_s=400.0)
+        recorder.detach()
+        capture.stop()
+        imported = EventStore(tmp_path / "air.db")
+        export = capture.export_jsonl(tmp_path / "air.jsonl")
+        assert imported.import_capture_jsonl(export) == len(capture)
 
-    def test_frames_full_records_outcomes(self, tmp_path):
-        from repro.obs.store import frame_view
+        def views(store):
+            rows = store.events(kind=KIND_FRAME)
+            return [frame_view(e.data, t=e.t, node=e.node, index=i) for i, e in enumerate(rows)]
 
-        net, store, _ = self.run_recorded(tmp_path, frames="full")
-        frames = store.events(kind=KIND_FRAME)
-        assert len(frames) == net.total_frames_sent()
-        # Per-listener outcomes are only available in "full" mode.
-        outcomes = frames[0].data["outcomes"]
-        assert len(outcomes) == 3  # everyone but the sender
-        assert set(outcomes.values()) <= {
-            "delivered", "collision", "below_sensitivity", "not_listening", "wrong_params"
-        }
-        view = frame_view(frames[0].data, t=frames[0].t, node=frames[0].node)
-        assert view["kind"] and view["summary"]
-        store.close()
-
-    def test_light_and_full_agree_on_capture_export(self, tmp_path):
-        def capture(frames_mode, name):
-            net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=8)
-            store = EventStore(tmp_path / f"{name}.db")
-            recorder = StoreRecorder(store, net, frames=frames_mode).attach()
-            net.run(for_s=400.0)
-            recorder.detach()
-            out = store.export_capture_jsonl(tmp_path / f"{name}.jsonl")
-            store.close()
-            return load_capture_jsonl(out)
-
-        light = capture(True, "light")
-        full = capture("full", "full")
-        assert len(light) == len(full)
-        for a, b in zip(light, full):
-            assert (a.index, a.time, a.sender, a.size, a.airtime_s) == (
-                b.index, b.time, b.sender, b.size, b.airtime_s
-            )
-            assert (a.packet_kind, a.summary) == (b.packet_kind, b.summary)
-            assert a.outcomes == {}  # light mode has no per-listener data
-            assert b.outcomes  # full mode does
-
-    def test_rejects_bad_frames_mode(self, tmp_path):
-        net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
-        store = EventStore(tmp_path / "x.db")
-        with pytest.raises(ValueError):
-            StoreRecorder(store, net, frames="lite")
-        store.close()
+        light, full = views(recorded), views(imported)
+        assert len(light) == len(full) == len(capture) > 0
+        for a, b, frame in zip(light, full, capture.frames):
+            assert a["outcomes"] == {}
+            assert {**a, "outcomes": None} == {**b, "outcomes": None}
+            assert {int(n): DropReason(r) for n, r in b["outcomes"].items()} == frame.outcomes
+        assert any(frame.delivered_to for frame in capture.frames)
+        recorded.close()
+        imported.close()
 
     def test_detach_restores_taps(self, tmp_path):
         net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
@@ -322,17 +302,7 @@ class TestStoreRecorder:
             assert node.on_forward_decision is forward
             assert node.on_app_delivery is delivery
         assert net.medium.on_frame is None
-        assert net.medium.on_transmission is None  # light mode never set it
-        store.close()
-
-    def test_full_mode_restores_sniffer(self, tmp_path):
-        net = MeshNetwork.from_positions(LINE4, config=CONFIG, seed=1)
-        store = EventStore(tmp_path / "run.db")
-        recorder = StoreRecorder(store, net, frames="full").attach()
-        assert net.medium.on_transmission is not None
-        assert net.medium.on_frame is None  # full mode uses the sniffer
-        recorder.detach()
-        assert net.medium.on_transmission is None
+        assert net.medium.on_transmission is None  # never tapped by the store
         store.close()
 
     def test_observers_detach_out_of_order(self, tmp_path):
@@ -367,7 +337,7 @@ class TestStoreRecorder:
         a, b, c = (node.address for node in net.nodes)
         middle = net.nodes[1]
         store = EventStore(tmp_path / "run.db")
-        recorder = StoreRecorder(store, net, frames=False).attach()
+        recorder = StoreRecorder(store, net).attach()
         packets = [
             DataPacket(dst=c, src=a, via=b, payload=b"x"),  # forward to c
             AckPacket(dst=a, src=c, via=b, seq_id=7, number=2),  # forward to a

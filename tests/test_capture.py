@@ -8,7 +8,6 @@ import pytest
 from repro.medium.channel import DropReason
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
-from repro.obs.store import KIND_FRAME, EventStore, StoreRecorder
 from repro.topology.placement import line_positions
 from repro.trace.capture import AirCapture
 
@@ -64,19 +63,16 @@ class TestCapture:
         assert capture.total_seen > 2
 
     @pytest.mark.parametrize("stop_order", list(itertools.permutations(range(3))))
-    def test_sniffers_share_the_medium(self, tmp_path, stop_order):
+    def test_sniffers_share_the_medium(self, stop_order):
         net = MeshNetwork.from_positions(line_positions(3), seed=1)
-        first, second = AirCapture(net.medium), AirCapture(net.medium)
-        store = EventStore(tmp_path / "run.db")
-        recorder = StoreRecorder(store, net, frames="full").attach()
+        captures = [AirCapture(net.medium) for _ in range(3)]
         net.run(for_s=600.0)
         assert net.total_frames_sent() == 15
-        assert len(first) == len(second) == store.count(kind=KIND_FRAME) == 15
-        stops = (first.stop, second.stop, recorder.detach)
+        assert [len(capture) for capture in captures] == [15, 15, 15]
+        assert captures[0].frames == captures[1].frames == captures[2].frames
         for i in stop_order:
-            stops[i]()
+            captures[i].stop()
         assert net.medium.on_transmission is None
-        store.close()
 
     def test_stop_detaches(self):
         net = MeshNetwork.from_positions(line_positions(2), config=FAST, seed=4)

@@ -1,10 +1,12 @@
 """Documentation consistency: what the docs promise must exist.
 
-These tests parse DESIGN.md / README.md / EXPERIMENTS.md and verify that
-every referenced bench target, example script, and public import path is
-real — so documentation drift fails CI instead of confusing users.
+These tests parse DESIGN.md / README.md / EXPERIMENTS.md / docs/*.md and
+verify that every referenced bench target, example script, and
+``repro.…`` path is real — so documentation drift fails CI instead of
+confusing users.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -12,9 +14,32 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
+#: Every document whose backticked ``repro.…`` paths must resolve.
+DOCUMENTS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    f"docs/{path.name}" for path in (REPO / "docs").glob("*.md")
+)
+
 
 def read(name: str) -> str:
     return (REPO / name).read_text()
+
+
+def resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the rest; raises if any part is missing."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != name:
+                raise  # a real module failed to import something else
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(dotted)
 
 
 class TestDesignDocument:
@@ -31,14 +56,24 @@ class TestDesignDocument:
                 continue  # substrate perf benches are not paper artifacts
             assert path.name in design, f"{path.name} missing from DESIGN.md index"
 
-    def test_inventory_modules_exist(self):
-        design = read("DESIGN.md")
-        for module in re.findall(r"`repro\.([a-z_.]+)`", design):
-            parts = module.split(".")
-            candidate = REPO / "src" / "repro" / Path(*parts)
-            assert (
-                candidate.with_suffix(".py").exists() or (candidate / "__init__.py").exists()
-            ), f"DESIGN.md references repro.{module} which does not exist"
+
+class TestDottedPaths:
+    def test_every_repro_path_resolves(self):
+        references = sorted(
+            {
+                (name, dotted)
+                for name in DOCUMENTS
+                for dotted in re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)", read(name))
+            }
+        )
+        assert {name for name, _ in references} >= {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+        missing = []
+        for name, dotted in references:
+            try:
+                resolve(dotted)
+            except (ImportError, AttributeError) as exc:
+                missing.append(f"{name}: {dotted} ({exc})")
+        assert not missing, "docs name repro paths that do not exist:\n" + "\n".join(missing)
 
 
 class TestReadme:
