@@ -9,6 +9,8 @@ Unlike the E/F/A benches these use real pytest-benchmark rounds — the
 workloads are microseconds-to-milliseconds and benefit from statistics.
 """
 
+from functools import partial
+
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.sim.kernel import Simulator
@@ -284,6 +286,57 @@ def test_perf_medium_resolution_dense_cell(benchmark):
 
     received = benchmark(run_cell)
     assert received == 50 * 15
+
+
+def test_perf_data_plane_forwarding_line(benchmark):
+    """The data plane end to end: 400 datagrams through a converged line.
+
+    A 5-node BW500 line whose radios hear only their neighbours.  Node 1
+    sends to node 3 every 0.5 s, so every datagram is classified three
+    times: node 2 forwards the first hop while node 0 overhears it, and
+    node 3 delivers the second hop while node 1 overhears it.  Unlike
+    the dense-cell medium bench, this runs the mesher's receive path,
+    ``classify`` and the forwarding enqueue for every heard frame.
+    Building and converging the line stays in setup."""
+    from repro.phy.modulation import Bandwidth, LoRaParams
+    from repro.phy.regions import UNRESTRICTED
+    from repro.topology.placement import line_positions
+
+    datagrams = 400
+    config = MesherConfig(
+        lora=LoRaParams(bandwidth=Bandwidth.BW500),
+        region=UNRESTRICTED,
+        hello_period_s=120.0,
+        route_timeout_s=7200.0,
+        purge_period_s=900.0,
+    )
+
+    def setup():
+        net = MeshNetwork.from_positions(
+            line_positions(5, spacing_m=60.0), config=config, seed=1, trace_enabled=False
+        )
+        assert net.run_until_converged(timeout_s=3600.0) is not None
+        src, relay, dst = net.nodes[1:4]
+        assert src.table.next_hop(dst.address) == relay.address
+        return (net,), {}
+
+    def run(net):
+        src, dst = net.nodes[1], net.nodes[3]
+        send = partial(src.send_datagram, dst.address, bytes(24))
+        for i in range(datagrams):
+            net.sim.schedule(i * 0.5, send)
+        net.run(for_s=datagrams * 0.5 + 5.0)
+        return [(n.stats.data_delivered, n.stats.data_forwarded, n.stats.overheard)
+                for n in net.nodes]
+
+    counts = benchmark.pedantic(run, setup=setup, rounds=15)
+    assert counts == [
+        (0, 0, datagrams),
+        (0, 0, datagrams),
+        (0, datagrams, 0),
+        (datagrams, 0, 0),
+        (0, 0, 0),
+    ]
 
 
 def test_perf_invariant_audit(benchmark):

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.experiments.report import format_table
+from repro.tables import format_table
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.phy.airtime import time_on_air

@@ -2,40 +2,16 @@
 
 Every bench prints its table through these helpers, so the harness output
 reads like the paper's tables: a title line, a header row, aligned cells.
+The formatter itself lives in the leaf module :mod:`repro.tables`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
+from repro.tables import format_table
 
-def _render_cell(value) -> str:
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
-        if value == float("inf"):
-            return "inf"
-        return f"{value:.3f}" if abs(value) < 1000 else f"{value:.1f}"
-    return str(value)
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence], *, title: str = "") -> str:
-    """Render an aligned text table."""
-    rendered: List[List[str]] = [[_render_cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered:
-        if len(row) != len(headers):
-            raise ValueError(f"row has {len(row)} cells, header has {len(headers)}")
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rendered:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+__all__ = ["format_table", "print_table"]
 
 
 def print_table(headers: Sequence[str], rows: Iterable[Sequence], *, title: str = "") -> None:

@@ -28,13 +28,14 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Protocol, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Protocol, Set, Tuple, Union
 
 from repro.phy import batch as _batch
 from repro.phy.link import LinkBudget, snr_floor_db, noise_floor_dbm, survives_interference
 from repro.phy.modulation import LoRaParams
 from repro.phy.pathloss import Position
 from repro.medium.spatial import SpatialGrid
+from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import PRIORITY_HIGH, Simulator
 
 logger = logging.getLogger(__name__)
@@ -65,8 +66,10 @@ class MediumListener(Protocol):
         one call instead of two."""
         ...
 
-    def deliver(self, outcome: "ReceptionOutcome") -> None:
-        """Hand a resolved reception (good or corrupted) to the radio."""
+    def deliver(self, frame: ReceivedFrame) -> None:
+        """Hand a heard frame (``crc_ok`` False after a collision) to the
+        radio.  The medium builds ``frame`` once per (transmission,
+        listener) pair; the listener passes that object on unchanged."""
         ...
 
 
@@ -110,26 +113,9 @@ class Transmission:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ReceptionOutcome:
-    """The resolved result of one (transmission, listener) pair."""
-
-    payload: bytes
-    sender_id: int
-    rssi_dbm: float
-    snr_db: float
-    crc_ok: bool
-    start: float
-    end: float
-    params: LoRaParams
-    reason: DropReason
-
-
 #: Optional fault-injection hook: (transmission, listener_id) -> drop?
 LossInjector = Callable[[Transmission, int], bool]
 
-
-_NO_SIGNAL = float("-inf")
 
 #: Reachable-set cache entries kept before a wholesale clear (bounds
 #: memory growth under mobility, where selective invalidation retains
@@ -140,27 +126,6 @@ _REACHABLE_CACHE_MAX = 8192
 #: resolution loop must deliver in the same order as the full scan) plus
 #: a frozenset for O(1) membership tests.
 _ReachableEntry = Tuple[Tuple[int, ...], FrozenSet[int]]
-
-
-def _drop(
-    tx: Transmission,
-    reason: DropReason,
-    rssi: float = _NO_SIGNAL,
-    snr: float = _NO_SIGNAL,
-) -> ReceptionOutcome:
-    """A non-delivery outcome for ``tx`` (module-level so the resolver
-    does not rebuild a closure per (frame, listener) pair)."""
-    return ReceptionOutcome(
-        payload=tx.payload,
-        sender_id=tx.sender_id,
-        rssi_dbm=rssi,
-        snr_db=snr,
-        crc_ok=False,
-        start=tx.start,
-        end=tx.end,
-        params=tx.params,
-        reason=reason,
-    )
 
 
 def _params_compatible(tx_params: LoRaParams, rx_params: LoRaParams) -> bool:
@@ -176,10 +141,10 @@ class Medium:
     """The shared channel connecting every radio in a scenario.
 
     Radios attach once and then call :meth:`begin_transmission`; the medium
-    resolves receptions at frame end and calls ``listener.deliver`` on each
-    attached radio with the outcome (only successful demodulations and
-    CRC-corrupted frames are delivered; frames below sensitivity are
-    silent, as on real hardware).
+    resolves receptions at frame end and calls ``listener.deliver`` with
+    the :class:`~repro.radio.frames.ReceivedFrame` each listener heard
+    (successful demodulations and CRC-corrupted frames only; frames below
+    sensitivity are silent, as on real hardware).
     """
 
     def __init__(
@@ -578,6 +543,8 @@ class Medium:
         not_listening = DropReason.NOT_LISTENING
         wrong_params = DropReason.WRONG_PARAMS
         below_sensitivity = DropReason.BELOW_SENSITIVITY
+        delivered = DropReason.DELIVERED
+        collision = DropReason.COLLISION
         for listener in listeners:
             node_id = listener.node_id
             if node_id == sender_id:
@@ -599,12 +566,15 @@ class Medium:
                 stats[reason._value_] += 1
                 outcomes[node_id] = reason
                 continue
-            outcome = self._resolve(tx, listener, overlapping)
-            reason = outcome.reason
+            heard = self._resolve(tx, listener, overlapping)
+            if type(heard) is DropReason:
+                stats[heard._value_] += 1
+                outcomes[node_id] = heard
+                continue
+            reason = delivered if heard.crc_ok else collision
             stats[reason._value_] += 1
             outcomes[node_id] = reason
-            if reason is DropReason.DELIVERED or reason is DropReason.COLLISION:
-                listener.deliver(outcome)
+            listener.deliver(heard)
         if self.on_transmission is not None:
             self.on_transmission(tx, outcomes)
 
@@ -668,16 +638,17 @@ class Medium:
             else None
         )
         stats = self._stats
-        handled = 0
+        delivered = DropReason.DELIVERED._value_
+        collision = DropReason.COLLISION._value_
         for node_id, listener in resolve:
             row = rows.get(node_id) if rows is not None else None
-            outcome = self._resolve(tx, listener, overlapping, row)
-            reason = outcome.reason
-            stats[reason._value_] += 1
-            handled += 1
-            if reason is DropReason.DELIVERED or reason is DropReason.COLLISION:
-                listener.deliver(outcome)
-        culled = total_others - handled
+            heard = self._resolve(tx, listener, overlapping, row)
+            if type(heard) is DropReason:
+                stats[heard._value_] += 1
+                continue
+            stats[delivered if heard.crc_ok else collision] += 1
+            listener.deliver(heard)
+        culled = total_others - len(resolve)
         if culled <= 0:
             return
         below = culled - disrupted
@@ -845,47 +816,38 @@ class Medium:
         listener: MediumListener,
         overlapping: List[Transmission],
         rssi_row: Optional[List[float]] = None,
-    ) -> ReceptionOutcome:
+    ) -> Union[ReceivedFrame, DropReason]:
+        """The frame ``listener`` hears of ``tx``, or why it hears nothing.
+
+        A heard frame is the object the protocol sees: ``received_at`` is
+        ``tx.end``, the instant the completion event fires.
+        """
         rx_params = listener.rx_params_throughout(tx.start, tx.end)
         if rx_params is None:
-            return _drop(tx, DropReason.NOT_LISTENING)
+            return DropReason.NOT_LISTENING
         if rx_params is not tx.params and not _params_compatible(tx.params, rx_params):
-            return _drop(tx, DropReason.WRONG_PARAMS)
+            return DropReason.WRONG_PARAMS
 
         quality = self._link.evaluate(tx.position, listener.position, tx.params)
         if not quality.above_sensitivity:
-            return _drop(tx, DropReason.BELOW_SENSITIVITY, quality.rssi_dbm, quality.snr_db)
+            return DropReason.BELOW_SENSITIVITY
 
         if self._loss_injector is not None and self._loss_injector(tx, listener.node_id):
-            return _drop(tx, DropReason.INJECTED_LOSS, quality.rssi_dbm, quality.snr_db)
+            return DropReason.INJECTED_LOSS
 
-        if overlapping and not self._survives_all_interference(
+        # A collision is still heard, CRC-failed: real radios raise an
+        # RxDone with PayloadCrcError in this case, which the driver surfaces.
+        crc_ok = not overlapping or self._survives_all_interference(
             tx, listener, quality.rssi_dbm, overlapping, rssi_row
-        ):
-            # Delivered as a CRC-failed frame: real radios raise an RxDone
-            # with PayloadCrcError in this case, which the driver surfaces.
-            return ReceptionOutcome(
-                payload=tx.payload,
-                sender_id=tx.sender_id,
-                rssi_dbm=quality.rssi_dbm,
-                snr_db=quality.snr_db,
-                crc_ok=False,
-                start=tx.start,
-                end=tx.end,
-                params=tx.params,
-                reason=DropReason.COLLISION,
-            )
-
-        return ReceptionOutcome(
+        )
+        return ReceivedFrame(
             payload=tx.payload,
-            sender_id=tx.sender_id,
             rssi_dbm=quality.rssi_dbm,
             snr_db=quality.snr_db,
-            crc_ok=True,
-            start=tx.start,
-            end=tx.end,
+            crc_ok=crc_ok,
+            received_at=tx.end,
             params=tx.params,
-            reason=DropReason.DELIVERED,
+            sender_id=tx.sender_id,
         )
 
     def _survives_all_interference(

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.experiments.report import format_table
+from repro.tables import format_table
 from repro.metrics.energy import EnergyModel
 from repro.net.api import MeshNetwork
 from repro.obs.instrument import instrument_network

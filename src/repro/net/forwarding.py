@@ -13,7 +13,9 @@ When a node receives one it classifies the frame:
   on demand, routes exist only via hellos).
 
 The classification is pure (no side effects), so it is directly
-property-testable; the mesher applies the resulting action.
+property-testable; the mesher applies the resulting action.  Decisions
+are frozen, so the action-only ones (DELIVER, OVERHEAR, NO_ROUTE) are
+shared module-level objects; only FORWARD builds a fresh decision.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class ForwardDecision:
     ping_pong: bool = False
 
 
+_DELIVER = ForwardDecision(action=ForwardAction.DELIVER)
+_OVERHEAR = ForwardDecision(action=ForwardAction.OVERHEAR)
+_NO_ROUTE = ForwardDecision(action=ForwardAction.NO_ROUTE)
+
+
 def classify(
     packet: ViaPacket,
     self_address: int,
@@ -79,15 +86,15 @@ def classify(
     the returned decision for observability.
     """
     if packet.dst == BROADCAST_ADDRESS:
-        return ForwardDecision(action=ForwardAction.DELIVER)
+        return _DELIVER
     if packet.dst == self_address:
-        return ForwardDecision(action=ForwardAction.DELIVER)
+        return _DELIVER
     if packet.via != self_address:
-        return ForwardDecision(action=ForwardAction.OVERHEAR)
+        return _OVERHEAR
 
     next_hop = table.next_hop(packet.dst)
     if next_hop is None:
-        return ForwardDecision(action=ForwardAction.NO_ROUTE)
+        return _NO_ROUTE
     outgoing = rewrite_via(packet, next_hop)
     return ForwardDecision(
         action=ForwardAction.FORWARD,

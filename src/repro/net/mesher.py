@@ -84,6 +84,9 @@ class NodeStats:
     duty_deferrals: int = 0
     cad_deferrals: int = 0
     strict_duty_drops: int = 0
+    #: Frames dropped because their airtime exceeds the region's dwell
+    #: limit (US915: 400 ms), which no amount of waiting can satisfy.
+    dwell_drops: int = 0
     #: FORWARD decisions whose next hop was the frame's previous
     #: transmitter — transient two-node ping-pong during convergence.
     ping_pong_forwards: int = 0
@@ -332,6 +335,13 @@ class MesherNode:
 
         # Duty-cycle pacing.
         if not self.duty.can_transmit(now, airtime):
+            if airtime > self.duty.region.max_dwell_time_s:
+                # Never fits, whatever strict_duty_cycle says: drop it.
+                self.send_queue.pop()
+                self.stats.dwell_drops += 1
+                self._record(EventKind.QUEUE_DROP, packet=type(packet).__name__, reason="dwell")
+                self._kick_pump()
+                return
             if self.config.strict_duty_cycle:
                 self.send_queue.pop()
                 self.stats.strict_duty_drops += 1
@@ -364,12 +374,20 @@ class MesherNode:
         self.radio.transmit(frame)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(frame)
-        self._record(
-            EventKind.FRAME_SENT,
-            packet=type(packet).__name__,
-            bytes=len(frame),
-            airtime_ms=round(airtime * 1000, 3),
-        )
+        trace = self.trace
+        if trace is not None:
+            if trace.enabled:
+                trace.record(
+                    now,
+                    self.address,
+                    EventKind.FRAME_SENT,
+                    packet=type(packet).__name__,
+                    bytes=len(frame),
+                    airtime_ms=round(airtime * 1000, 3),
+                )
+            else:
+                # Counter-only fast path, as in _on_frame.
+                trace.record(now, self.address, EventKind.FRAME_SENT)
 
     def _on_tx_done(self) -> None:
         self._kick_pump()
@@ -439,13 +457,20 @@ class MesherNode:
             self.stats.data_forwarded += 1
             if decision.ping_pong:
                 self.stats.ping_pong_forwards += 1
-            self._record(
-                EventKind.DATA_FORWARDED,
-                packet=type(packet).__name__,
-                src=packet.src,
-                dst=packet.dst,
-                next_hop=decision.next_hop,
-            )
+            trace = self.trace
+            if trace is not None:
+                if trace.enabled:
+                    trace.record(
+                        self.sim.now,
+                        self.address,
+                        EventKind.DATA_FORWARDED,
+                        packet=type(packet).__name__,
+                        src=packet.src,
+                        dst=packet.dst,
+                        next_hop=decision.next_hop,
+                    )
+                else:
+                    trace.record(self.sim.now, self.address, EventKind.DATA_FORWARDED)
             self.enqueue(decision.outgoing)
         elif decision.action is ForwardAction.NO_ROUTE:
             self.stats.no_route_drops += 1

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments.report import format_table
+from repro.tables import format_table
 from repro.sim.kernel import Simulator
 
 _DIGITS = re.compile(r"\d+")

@@ -20,15 +20,19 @@ can compute battery figures without the driver knowing about joules.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.medium.channel import Medium, ReceptionOutcome
 from repro.phy.airtime import time_on_air
 from repro.phy.modulation import LoRaParams
 from repro.phy.pathloss import Position
 from repro.radio.frames import ReceivedFrame
 from repro.radio.states import RadioState
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    # Annotations only: the medium imports ReceivedFrame from this
+    # package, so a runtime import here would be circular.
+    from repro.medium.channel import Medium
 
 logger = logging.getLogger(__name__)
 
@@ -132,22 +136,18 @@ class Radio:
             return None
         return self._params
 
-    def deliver(self, outcome: ReceptionOutcome) -> None:
-        """Medium entry point: a frame finished and this radio heard it."""
+    def deliver(self, frame: ReceivedFrame) -> None:
+        """Medium entry point: a frame finished and this radio heard it.
+
+        ``frame`` is the medium's own record (``crc_ok`` False after a
+        collision); the radio counts it and hands that same object to
+        ``on_receive``.  A powered-off radio ignores it.
+        """
         if not self._powered:
             return
-        frame = ReceivedFrame(
-            payload=outcome.payload,
-            rssi_dbm=outcome.rssi_dbm,
-            snr_db=outcome.snr_db,
-            crc_ok=outcome.crc_ok,
-            received_at=self._sim.now,
-            params=outcome.params,
-            sender_id=outcome.sender_id,
-        )
         if frame.crc_ok:
             self.frames_received += 1
-            self.bytes_received += frame.size
+            self.bytes_received += len(frame.payload)
         else:
             self.frames_crc_failed += 1
         if self.on_receive is not None:

@@ -1,4 +1,9 @@
-"""Frame record handed from the radio driver to the protocol layer."""
+"""Frame record handed from the radio driver to the protocol layer.
+
+The medium builds one per (transmission, listener) pair that was heard,
+and the driver passes that object on unchanged (see
+:meth:`repro.radio.driver.Radio.deliver`).
+"""
 
 from __future__ import annotations
 

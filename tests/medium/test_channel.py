@@ -1,12 +1,19 @@
 """Tests for the shared medium: delivery, collisions, capture, sensing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.medium.channel import DropReason, Medium, Transmission
 from repro.phy.link import LinkBudget
 from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.pathloss import LogDistancePathLoss
 from repro.radio.driver import Radio
+from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
 
 from tests.conftest import build_radios
@@ -71,6 +78,74 @@ class TestDelivery:
         radios[0].transmit(b"bcast")
         sim.run(until=1.0)
         assert all(len(c) == 1 for c in collectors)
+
+
+class TestDeliveryContract:
+    """``Medium`` builds one ReceivedFrame per heard (frame, listener)
+    pair and ``Radio.deliver`` hands that object on unchanged."""
+
+    def test_heard_frame_is_the_mediums_object(self, sim, medium, params, radio_pair):
+        a, b = radio_pair
+        handed, seen = [], []
+        deliver = b.deliver
+        b.deliver = lambda frame: (handed.append(frame), deliver(frame))
+        b.on_receive = lambda frame: seen.append((frame, sim.now))
+        a.transmit(b"x" * 12)
+        sim.run(until=1.0)
+        assert len(handed) == 1 and len(seen) == 1
+        frame, heard_at = seen[0]
+        assert frame is handed[0]
+        assert frame.received_at == heard_at
+        quality = medium.link_budget.evaluate(a.position, b.position, params)
+        assert frame.rssi_dbm == quality.rssi_dbm
+        assert frame.snr_db == quality.snr_db
+        assert frame.crc_ok
+        assert frame.sender_id == a.node_id
+        assert frame.params is params
+        assert (b.frames_received, b.bytes_received) == (1, 12)
+
+    def test_collided_frame_arrives_crc_failed_and_counted(self, sim, medium, params):
+        a, b, c = build_radios(
+            sim, medium, [(0.0, 0.0), (100.0, 0.0), (50.0, 0.0)], params
+        )
+        frames = collect_frames(c)
+        a.transmit(b"from-a" + bytes(20))
+        b.transmit(b"from-b" + bytes(20))
+        sim.run(until=1.0)
+        assert [f.crc_ok for f in frames] == [False, False]
+        assert {f.sender_id for f in frames} == {a.node_id, b.node_id}
+        assert c.frames_crc_failed == 2
+        assert c.frames_received == 0
+        assert medium.outcome_counts()[DropReason.COLLISION] == 2
+
+    def test_powered_off_radio_ignores_deliver(self, sim, medium, params, radio_pair):
+        _, b = radio_pair
+        frames = collect_frames(b)
+        b.power_off()
+        frame = ReceivedFrame(
+            payload=b"late", rssi_dbm=-80.0, snr_db=5.0, crc_ok=True,
+            received_at=0.0, params=params, sender_id=1,
+        )
+        b.deliver(frame)
+        b.deliver(ReceivedFrame(
+            payload=b"bad", rssi_dbm=-80.0, snr_db=5.0, crc_ok=False,
+            received_at=0.0, params=params, sender_id=1,
+        ))
+        assert frames == []
+        assert (b.frames_received, b.bytes_received, b.frames_crc_failed) == (0, 0, 0)
+
+    @pytest.mark.parametrize("module", ["repro.radio", "repro.medium"])
+    def test_package_imports_first_in_a_fresh_interpreter(self, module):
+        # The medium imports ReceivedFrame from repro.radio, whose driver
+        # names Medium only in annotations: either package imported
+        # first must not hit a partially initialised module.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHalfDuplex:

@@ -1,5 +1,7 @@
 """Tests for the data-plane classification logic."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.addresses import BROADCAST_ADDRESS
@@ -80,6 +82,41 @@ class TestClassification:
         assert decision.action is ForwardAction.FORWARD
         assert isinstance(decision.outgoing, AckPacket)
         assert decision.outgoing.seq_id == 1
+
+
+class TestSharedDecisions:
+    """Action-only decisions are shared frozen objects; FORWARD is not."""
+
+    @pytest.mark.parametrize(
+        "dst,via,action",
+        [
+            (FAR, NEXT, ForwardAction.OVERHEAR),
+            (ME, ME, ForwardAction.DELIVER),
+            (BROADCAST_ADDRESS, BROADCAST_ADDRESS, ForwardAction.DELIVER),
+            (0x00AA, ME, ForwardAction.NO_ROUTE),
+        ],
+    )
+    def test_action_only_decisions_are_shared(self, table, dst, via, action):
+        first = classify(pkt(dst=dst, via=via), ME, table)
+        second = classify(pkt(dst=dst, via=via, src=FAR), ME, table, previous_hop=FAR)
+        assert first is second
+        assert first.action is action
+
+    def test_shared_decision_is_frozen(self, table):
+        decision = classify(pkt(dst=FAR, via=NEXT), ME, table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.action = ForwardAction.FORWARD
+        assert classify(pkt(dst=FAR, via=NEXT), ME, table).action is ForwardAction.OVERHEAR
+
+    def test_forward_builds_a_fresh_decision(self, table):
+        packet = pkt(dst=FAR, via=ME)
+        first = classify(packet, ME, table)
+        second = classify(packet, ME, table, previous_hop=NEXT)
+        assert first is not second
+        assert first.outgoing is not packet and first.outgoing is not second.outgoing
+        assert first.outgoing == second.outgoing == rewrite_via(packet, NEXT)
+        assert packet.via == ME  # the received packet is left as it was
+        assert (first.ping_pong, second.ping_pong) == (False, True)
 
 
 class TestRewrite:

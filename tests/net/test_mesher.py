@@ -6,6 +6,8 @@ from repro.net.addresses import BROADCAST_ADDRESS
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.net.mesher import AppMessage, MesherNode
+from repro.phy.modulation import LoRaParams, SpreadingFactor
+from repro.phy.regions import US915
 from repro.radio.states import RadioState
 from repro.topology.placement import line_positions
 from repro.trace.events import EventKind
@@ -213,3 +215,46 @@ class TestTransmitPath:
         net.run(for_s=10.0)
         # At least one of the overlapping frames was corrupted for c.
         assert c.stats.crc_failures >= 1 or c.inbox.enqueued_total == 2
+
+
+class TestDwellLimit:
+    """US915 caps one frame's airtime at 400 ms.  A longer frame can
+    never go out, so the pump drops it instead of waiting for a duty
+    budget that would never admit it."""
+
+    @staticmethod
+    def us915_line(sf, **overrides):
+        config = MesherConfig(lora=LoRaParams(spreading_factor=sf), region=US915, **overrides)
+        return MeshNetwork.from_positions(line_positions(3), config=config, seed=1)
+
+    def test_over_dwell_datagram_is_dropped_and_pumping_continues(self):
+        net = self.us915_line(SpreadingFactor.SF10)
+        assert net.run_until_converged(timeout_s=1200.0) == 110.0
+        a, _, c = net.nodes
+        assert a.send_datagram(c.address, bytes(120))  # 1.231 s of airtime
+        assert a.send_datagram(c.address, b"fits")
+        net.run(for_s=60.0)
+        assert a.stats.dwell_drops == 1
+        assert a.stats.strict_duty_drops == 0
+        drop = net.trace.first(EventKind.QUEUE_DROP, reason="dwell")
+        assert drop is not None and drop.node == a.address
+        assert drop.detail["packet"] == "DataPacket"
+        # The frame behind it still went out and arrived.
+        assert c.receive().payload == b"fits"
+        assert c.receive() is None
+
+    def test_dwell_drop_ignores_strict_duty_cycle(self):
+        net = self.us915_line(SpreadingFactor.SF10, strict_duty_cycle=True)
+        assert net.run_until_converged(timeout_s=1200.0) is not None
+        a, _, c = net.nodes
+        a.send_datagram(c.address, bytes(120))
+        net.run(for_s=60.0)
+        assert a.stats.dwell_drops == 1
+        assert a.stats.strict_duty_drops == 0
+
+    def test_sf12_hellos_never_fit_and_the_run_survives(self):
+        net = self.us915_line(SpreadingFactor.SF12)
+        net.run(for_s=600.0)  # every hello is 0.991 s on air
+        assert net.total_frames_sent() == 0
+        for node in net.nodes:
+            assert 0 < node.stats.dwell_drops <= node.hello.hellos_sent
