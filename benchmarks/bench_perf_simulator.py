@@ -288,6 +288,53 @@ def test_perf_medium_resolution_dense_cell(benchmark):
     assert received == 50 * 15
 
 
+def test_perf_medium_concurrent_far_cells(benchmark):
+    """Reception resolution while far-apart cells are on the air at once.
+
+    Eight 16-radio rings 600 m apart; every second one radio in each ring
+    transmits, all eight at the same instant.  Each frame overlaps the
+    seven others, but their senders lie at least 500 m away, beyond the
+    403 m interference radius at SF7/BW125, so none can corrupt it.
+    Unlike the dense cell, which airs one frame at a time, this times the
+    overlap set: the medium must not test those seven frames at every
+    listener."""
+    from repro.medium.channel import Medium
+    from repro.phy.link import LinkBudget
+    from repro.phy.modulation import LoRaParams
+    from repro.phy.pathloss import LogDistancePathLoss
+    from repro.radio.driver import Radio
+    from repro.topology.placement import ring_positions
+
+    cells, size, rounds = 8, 16, 50
+
+    def run_cells():
+        sim = Simulator()
+        medium = Medium(sim, LinkBudget(LogDistancePathLoss()))
+        params = LoRaParams()
+        rings = [
+            [
+                Radio(sim, medium, c * size + i + 1, (x + c * 600.0, y), params)
+                for i, (x, y) in enumerate(ring_positions(size, radius_m=50.0))
+            ]
+            for c in range(cells)
+        ]
+        for ring in rings:
+            for radio in ring:
+                radio.start_receive()
+        for i in range(rounds):
+            for ring in rings:
+                ring[i % size].transmit(bytes(32))
+            sim.run(until=sim.now + 1.0)
+        radios = [radio for ring in rings for radio in ring]
+        return (
+            sum(r.frames_received for r in radios),
+            sum(r.frames_crc_failed for r in radios),
+        )
+
+    received, corrupted = benchmark(run_cells)
+    assert (received, corrupted) == (rounds * cells * (size - 1), 0)
+
+
 def test_perf_data_plane_forwarding_line(benchmark):
     """The data plane end to end: 400 datagrams through a converged line.
 

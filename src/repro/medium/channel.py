@@ -27,11 +27,20 @@ import itertools
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Protocol, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Protocol, Set, Tuple, Union
 
 from repro.phy import batch as _batch
-from repro.phy.link import LinkBudget, snr_floor_db, noise_floor_dbm, survives_interference
+from repro.phy.link import (
+    CAPTURE_THRESHOLD_DB,
+    INTER_SF_REJECTION_DB,
+    LinkBudget,
+    LinkQuality,
+    noise_floor_dbm,
+    sensitivity_dbm,
+    snr_floor_db,
+    survives_interference,
+)
 from repro.phy.modulation import LoRaParams
 from repro.phy.pathloss import Position
 from repro.medium.spatial import SpatialGrid
@@ -122,10 +131,16 @@ LossInjector = Callable[[Transmission, int], bool]
 #: entries for positions a sender may never transmit from again).
 _REACHABLE_CACHE_MAX = 8192
 
-#: One cached reachable set: listener ids in attachment order (the
-#: resolution loop must deliver in the same order as the full scan) plus
-#: a frozenset for O(1) membership tests.
-_ReachableEntry = Tuple[Tuple[int, ...], FrozenSet[int]]
+#: One cached reachable set: each listener whose link clears sensitivity,
+#: mapped to that link's quality, in attachment order (the resolution
+#: loop must deliver in the same order as the full scan).
+_ReachableEntry = Dict[int, LinkQuality]
+
+#: Margin (dB) by which an interferer's floor sits below the capture or
+#: rejection threshold, so float rounding in the RSSI sums can never
+#: flip ``signal - interferer >= CAPTURE_THRESHOLD_DB`` for a frame the
+#: interference radius prunes.
+_INTERFERENCE_GUARD_DB = 1e-3
 
 
 def _params_compatible(tx_params: LoRaParams, rx_params: LoRaParams) -> bool:
@@ -183,12 +198,14 @@ class Medium:
         self.use_reachability: bool = reachability_cache
         #: Vectorized batch PHY + spatial-grid engine: reachable sets are
         #: built from an O(cell-neighborhood) candidate lookup plus one
-        #: batched margin row instead of an O(N) scalar scan, and frame
+        #: batched RSSI row instead of an O(N) scalar scan, frame
         #: completion accounts for culled listeners in aggregate instead
-        #: of replaying per-listener checks.  Outcome-invisible (the
-        #: determinism suite asserts byte-identical traces either way);
-        #: auto-disabled for time-varying / order-sensitive channels,
-        #: exactly like the reachability flag.
+        #: of replaying per-listener checks, and the overlap set and
+        #: carrier sense skip frames beyond their range bounds.
+        #: Outcome-invisible (the determinism suite asserts
+        #: byte-identical traces either way); auto-disabled for
+        #: time-varying / order-sensitive channels, exactly like the
+        #: reachability flag.
         if use_batch_phy is None:
             use_batch_phy = reachability_cache and _batch.supports_batch(link_budget)
         self.use_batch_phy: bool = use_batch_phy
@@ -199,6 +216,14 @@ class Medium:
         #: object rides in the value so the id key stays valid for the
         #: entry's lifetime.
         self._max_range: Dict[int, Tuple[LoRaParams, Optional[float]]] = {}
+        #: (id(frame params), id(interferer params)) -> (both params, the
+        #: sender separation beyond which the interferer cannot corrupt
+        #: the frame, or None); see :meth:`_interference_cutoff`.
+        self._interference_reach: Dict[
+            Tuple[int, int], Tuple[LoRaParams, LoRaParams, Optional[float]]
+        ] = {}
+        #: The link budget's generation the caches above were built at.
+        self._link_generation = link_budget.generation
         #: Spatial hash grid over listener positions; built lazily on the
         #: first batch reachable-set query, then maintained incrementally
         #: on attach/detach/move.
@@ -307,16 +332,14 @@ class Medium:
             if self._reachable_cache:
                 self._invalidate_moved(node_id, listener.position)
             return
-        self._reachable_cache.clear()
-        self._reachable_params.clear()
-        self._max_range.clear()
         self._link.invalidate()
+        self._sync_link()
 
     def _invalidate_moved(self, node_id: int, new_position: Position) -> None:
         """Drop only the reachable-cache entries a single move can affect."""
         dead: List[tuple] = []
         hypot = math.hypot
-        for key, (ordered, members) in self._reachable_cache.items():
+        for key, members in self._reachable_cache.items():
             if node_id in members:
                 dead.append(key)
                 continue
@@ -331,6 +354,18 @@ class Medium:
                 dead.append(key)
         for key in dead:
             del self._reachable_cache[key]
+
+    def _sync_link(self) -> None:
+        """Drop everything derived from the link budget, and note the
+        generation it is now at: reachable sets with their link
+        qualities, range bounds and interference cutoffs.  Runs whenever
+        the budget was invalidated (edited gains, a new channel
+        realisation) since the caches were built."""
+        self._link_generation = self._link.generation
+        self._reachable_cache.clear()
+        self._reachable_params.clear()
+        self._max_range.clear()
+        self._interference_reach.clear()
 
     def _invalidate_topology(self) -> None:
         self._listener_snapshot = None
@@ -505,9 +540,13 @@ class Medium:
         grid candidate queries; the sharded runner partitions space with
         the same radius so its strips align with what the medium can
         actually hear."""
+        if self._link.generation != self._link_generation:
+            self._sync_link()
         return self._max_range_for(params)
 
     def _complete(self, tx: Transmission) -> None:
+        if self._link.generation != self._link_generation:
+            self._sync_link()
         self._active.pop(tx.tx_id, None)
         self._recent.append(tx)
         self._prune_recent(tx.start)
@@ -533,7 +572,6 @@ class Medium:
         listeners = self._listener_snapshot
         if listeners is None:
             listeners = self._listener_snapshot = tuple(self._listeners.values())
-        reachable = entry[1] if entry is not None else None
         # The same overlap set applies at every listener; compute it once
         # per frame instead of once per (frame, listener).
         overlapping = self._overlapping(tx)
@@ -549,24 +587,30 @@ class Medium:
             node_id = listener.node_id
             if node_id == sender_id:
                 continue
-            if reachable is not None and node_id not in reachable:
-                # Culled listener: the link budget says the frame cannot
-                # clear sensitivity here, so skip the PHY math entirely —
-                # but keep the outcome histogram byte-identical to the
-                # slow path by replaying its (cheap) early checks in the
-                # same order.  (The identity test is a fast path for the
-                # common whole-network-shares-one-params-object case.)
-                rx_params = listener.rx_params_throughout(tx_start, tx_end)
-                if rx_params is None:
-                    reason = not_listening
-                elif rx_params is not tx_params and not _params_compatible(tx_params, rx_params):
-                    reason = wrong_params
-                else:
-                    reason = below_sensitivity
-                stats[reason._value_] += 1
-                outcomes[node_id] = reason
-                continue
-            heard = self._resolve(tx, listener, overlapping)
+            quality = None
+            if entry is not None:
+                quality = entry.get(node_id)
+                if quality is None:
+                    # Culled listener: the link budget says the frame
+                    # cannot clear sensitivity here, so skip the PHY math
+                    # entirely — but keep the outcome histogram
+                    # byte-identical to the slow path by replaying its
+                    # (cheap) early checks in the same order.  (The
+                    # identity test is a fast path for the common
+                    # whole-network-shares-one-params-object case.)
+                    rx_params = listener.rx_params_throughout(tx_start, tx_end)
+                    if rx_params is None:
+                        reason = not_listening
+                    elif rx_params is not tx_params and not _params_compatible(
+                        tx_params, rx_params
+                    ):
+                        reason = wrong_params
+                    else:
+                        reason = below_sensitivity
+                    stats[reason._value_] += 1
+                    outcomes[node_id] = reason
+                    continue
+            heard = self._resolve(tx, listener, quality, overlapping)
             if type(heard) is DropReason:
                 stats[heard._value_] += 1
                 outcomes[node_id] = heard
@@ -596,7 +640,6 @@ class Medium:
         The histogram produced is equal to the replay loop's by
         construction; the determinism suite asserts it.
         """
-        ordered, members = entry
         listeners = self._listeners
         sender_id, tx_start = tx.sender_id, tx.start
         # Disrupted culled listeners: compute BEFORE resolving (deliver
@@ -604,14 +647,14 @@ class Medium:
         disrupted = 0
         rx_since = self._rx_since
         for node_id in self._not_in_rx:
-            if node_id != sender_id and node_id not in members:
+            if node_id != sender_id and node_id not in entry:
                 disrupted += 1
         if self._rx_entries:
             counted: Set[int] = set()
             for since, node_id in self._rx_entries:
                 if (
                     node_id != sender_id
-                    and node_id not in members
+                    and node_id not in entry
                     and node_id not in counted
                     and rx_since.get(node_id) is not None
                     and rx_since[node_id] > tx_start  # type: ignore[operator]
@@ -621,8 +664,8 @@ class Medium:
         total_others = len(listeners) - (1 if sender_id in listeners else 0)
         # Snapshot the candidate listeners before any deliver() runs.
         resolve = [
-            (node_id, listeners[node_id])
-            for node_id in ordered
+            (listeners[node_id], quality)
+            for node_id, quality in entry.items()
             if node_id != sender_id and node_id in listeners
         ]
         overlapping = self._overlapping(tx)
@@ -633,16 +676,17 @@ class Medium:
         # interferer x listener pair space overflows the memo and the
         # matrix wins even at small widths.
         rows = (
-            self._interference_rows(overlapping, resolve)
+            self._interference_rows(
+                overlapping, [listener.position for listener, _ in resolve]
+            )
             if len(self._listeners) > 64 and len(overlapping) * len(resolve) >= 8
-            else None
+            else itertools.repeat(None)
         )
         stats = self._stats
         delivered = DropReason.DELIVERED._value_
         collision = DropReason.COLLISION._value_
-        for node_id, listener in resolve:
-            row = rows.get(node_id) if rows is not None else None
-            heard = self._resolve(tx, listener, overlapping, row)
+        for (listener, quality), row in zip(resolve, rows):
+            heard = self._resolve(tx, listener, quality, overlapping, row)
             if type(heard) is DropReason:
                 stats[heard._value_] += 1
                 continue
@@ -674,7 +718,7 @@ class Medium:
 
     def _reachable_entry(self, tx: Transmission) -> _ReachableEntry:
         """Listener ids whose link from ``tx``'s origin clears sensitivity,
-        as (attachment-ordered tuple, frozenset).
+        each mapped to that link's quality, in attachment order.
 
         Cached per (sender position, params); attach/detach clears the
         cache and moves invalidate selectively (batch path) or wholesale
@@ -697,12 +741,11 @@ class Medium:
                 # The sender itself stays in the set: the key is
                 # positional, so a co-located node's transmissions may
                 # legitimately reuse this entry with a different sender id.
-                ordered = tuple(
-                    node_id
-                    for node_id, listener in self._listeners.items()
-                    if link.in_range(position, listener.position, params)
-                )
-                cached = (ordered, frozenset(ordered))
+                cached = {}
+                for node_id, listener in self._listeners.items():
+                    quality = link.evaluate(position, listener.position, params)
+                    if quality.above_sensitivity:
+                        cached[node_id] = quality
             self._reachable_cache[key] = cached
         return cached
 
@@ -725,34 +768,40 @@ class Medium:
     def _reachable_batch(
         self, position: Position, params: LoRaParams
     ) -> Optional[_ReachableEntry]:
-        """Grid-candidate + batched-margin reachable set, or None when the
+        """Grid-candidate + batched-RSSI reachable set, or None when the
         model cannot bound its range (caller falls back to the full scan).
 
-        The batch margin test is bit-identical to the scalar
-        ``LinkBudget.in_range`` (same op order through numpy), so the
-        resulting set — and therefore every downstream outcome — matches
-        the scalar path exactly; the grid only narrows *candidates*.
+        The batch RSSI row is bit-identical to the scalar
+        ``LinkBudget.evaluate`` (same op order through numpy), and the SNR
+        and threshold below are the scalar rule's own float ops, so every
+        kept ``LinkQuality`` — and therefore every downstream outcome —
+        matches the scalar path exactly; the grid only narrows
+        *candidates*.
         """
         rng_m = self._max_range_for(params)
         if rng_m is None:
             return None
         grid = self._ensure_grid(rng_m)
         candidates = grid.near(position, rng_m)
+        reachable: _ReachableEntry = {}
         if not candidates:
-            return ((), frozenset())
+            return reachable
         # Attachment order: the resolution loop iterates listeners in
         # attachment order, and delivery order is observable (trace ids,
-        # queue order), so the cached tuple must match the full scan.
+        # queue order), so the cached entry must match the full scan.
         candidates.sort(key=self._attach_seq.__getitem__)
         listeners = self._listeners
         rx_positions = [listeners[node_id].position for node_id in candidates]
-        above = _batch.above_sensitivity_matrix(
-            self._link, [position], rx_positions, params
-        )[0]
-        ordered = tuple(
-            node_id for node_id, ok in zip(candidates, above.tolist()) if ok
-        )
-        return (ordered, frozenset(ordered))
+        rssi = _batch.rssi_matrix(self._link, [position], rx_positions, params)[0]
+        noise = noise_floor_dbm(params.bandwidth)
+        floor = snr_floor_db(params.spreading_factor)
+        for node_id, rssi_dbm in zip(candidates, rssi.tolist()):
+            snr = rssi_dbm - noise
+            if snr >= floor:
+                reachable[node_id] = LinkQuality(
+                    rssi_dbm=rssi_dbm, snr_db=snr, above_sensitivity=True
+                )
+        return reachable
 
     # ------------------------------------------------------------------
     # Reception resolution
@@ -760,8 +809,8 @@ class Medium:
     def _interference_rows(
         self,
         overlapping: List[Transmission],
-        resolve: List[Tuple[int, MediumListener]],
-    ) -> Dict[int, List[float]]:
+        rx_positions: List[Position],
+    ) -> List[List[float]]:
         """Interferer RSSI per (candidate listener, overlapping frame).
 
         One vectorized call per completed transmission computes what the
@@ -770,9 +819,9 @@ class Medium:
         ``received_power_dbm``, so every row value is bit-identical —
         :meth:`_survives_all_interference` can use them interchangeably.
 
-        Returns ``{node_id: [rssi_dbm per overlapping index]}``.
+        Returns one row per listener position, in order: the RSSI of each
+        overlapping frame, by overlapping index.
         """
-        rx_positions = [listener.position for _, listener in resolve]
         # Interferers usually share one LoRaParams object; group by
         # identity so heterogeneous networks still batch per group.
         groups: Dict[int, Tuple[LoRaParams, List[int]]] = {}
@@ -792,20 +841,14 @@ class Medium:
                 rx_positions,
                 params,
             )
-            return {
-                node_id: col
-                for (node_id, _), col in zip(resolve, rssi.T.tolist())
-            }
+            return rssi.T.tolist()
         width = len(overlapping)
-        rows: Dict[int, List[float]] = {
-            node_id: [0.0] * width for node_id, _ in resolve
-        }
-        row_list = [rows[node_id] for node_id, _ in resolve]
+        rows = [[0.0] * width for _ in rx_positions]
         for params, idxs in groups.values():
             tx_positions = [overlapping[i].position for i in idxs]
             rssi = _batch.rssi_matrix(self._link, tx_positions, rx_positions, params)
             cols = rssi.T.tolist()  # one entry list per candidate
-            for row, col in zip(row_list, cols):
+            for row, col in zip(rows, cols):
                 for k, i in enumerate(idxs):
                     row[i] = col[k]
         return rows
@@ -814,13 +857,18 @@ class Medium:
         self,
         tx: Transmission,
         listener: MediumListener,
+        quality: Optional[LinkQuality],
         overlapping: List[Transmission],
         rssi_row: Optional[List[float]] = None,
     ) -> Union[ReceivedFrame, DropReason]:
         """The frame ``listener`` hears of ``tx``, or why it hears nothing.
 
-        A heard frame is the object the protocol sees: ``received_at`` is
-        ``tx.end``, the instant the completion event fires.
+        ``quality`` is the link's quality from the reachable entry, or
+        None to evaluate it here — after the listening checks, so an
+        order-sensitive channel draws exactly the links the full scan
+        draws.  A heard frame is the object the protocol sees:
+        ``received_at`` is ``tx.end``, the instant the completion event
+        fires.
         """
         rx_params = listener.rx_params_throughout(tx.start, tx.end)
         if rx_params is None:
@@ -828,7 +876,8 @@ class Medium:
         if rx_params is not tx.params and not _params_compatible(tx.params, rx_params):
             return DropReason.WRONG_PARAMS
 
-        quality = self._link.evaluate(tx.position, listener.position, tx.params)
+        if quality is None:
+            quality = self._link.evaluate(tx.position, listener.position, tx.params)
         if not quality.above_sensitivity:
             return DropReason.BELOW_SENSITIVITY
 
@@ -887,14 +936,74 @@ class Medium:
         return True
 
     def _overlapping(self, tx: Transmission) -> List[Transmission]:
-        """All other transmissions overlapping ``tx`` on its channel."""
+        """Other transmissions overlapping ``tx`` on its channel that can
+        corrupt it somewhere it is heard.
+
+        With the batch engine on, a frame whose sender lies beyond
+        :meth:`_interference_cutoff` of ``tx``'s sender passes
+        ``survives_interference`` at every listener that can demodulate
+        ``tx``, so it is left out.  Without the batch engine, or without
+        a range bound, every overlapping frame stays: that full set is the
+        reference the pruned one must match outcome for outcome.
+        """
         out = []
+        prune = self.use_batch_phy
+        params = tx.params
+        # The frames of one network usually share one params object, so
+        # its cutoff is looked up once per frame, not once per pair.
+        own_cutoff = self._interference_cutoff(params, params) if prune else None
+        x, y = tx.position
         for other in itertools.chain(self._active.values(), self._recent):
             if other.tx_id == tx.tx_id:
                 continue
-            if other.overlaps(tx) and other.same_channel(tx):
-                out.append(other)
+            if not (other.overlaps(tx) and other.same_channel(tx)):
+                continue
+            if prune:
+                cutoff = (
+                    own_cutoff
+                    if other.params is params
+                    else self._interference_cutoff(params, other.params)
+                )
+                if cutoff is not None:
+                    ox, oy = other.position
+                    if math.hypot(ox - x, oy - y) > cutoff:
+                        continue
+            out.append(other)
         return out
+
+    def _interference_cutoff(
+        self, frame_params: LoRaParams, other_params: LoRaParams
+    ) -> Optional[float]:
+        """Sender separation beyond which a frame sent with
+        ``other_params`` cannot corrupt one sent with ``frame_params``, or
+        None when the path-loss model cannot bound it.
+
+        The cutoff is ``R_frame + R_int``.  A listener that demodulates
+        the frame lies within ``R_frame = max_range_m(frame_params)`` of
+        its sender, so by the triangle inequality an interferer beyond the
+        cutoff is farther than ``R_int`` from that listener.  ``R_int`` is
+        where the interferer, at its own power and frequency, falls to
+        the frame's sensitivity minus the capture threshold (same SF) or
+        plus the inter-SF rejection margin (other SF), less a float guard:
+        the frame arrives at or above sensitivity, so it survives that
+        interferer whichever rule applies.  Cached per params pair, with
+        both params pinned in the value so the id key stays valid.
+        """
+        key = (id(frame_params), id(other_params))
+        entry = self._interference_reach.get(key)
+        if entry is None:
+            r_frame = self._max_range_for(frame_params)
+            sensitivity = sensitivity_dbm(frame_params)
+            if frame_params.spreading_factor == other_params.spreading_factor:
+                floor = sensitivity - CAPTURE_THRESHOLD_DB
+            else:
+                floor = sensitivity + INTER_SF_REJECTION_DB
+            r_int = _batch.range_at_floor_m(
+                self._link, other_params, floor - _INTERFERENCE_GUARD_DB
+            )
+            cutoff = None if r_frame is None or r_int is None else r_frame + r_int
+            entry = self._interference_reach[key] = (frame_params, other_params, cutoff)
+        return entry[2]
 
     def _prune_recent(self, horizon: float) -> None:
         """Drop completed transmissions that can no longer overlap anything
@@ -924,12 +1033,26 @@ class Medium:
         in-flight frame does not read as a busy channel — a real radio
         cannot CAD-detect its own transmission (it is not receiving while
         it transmits).
+
+        With the batch engine on, a frame whose sender lies beyond its
+        ``max_range_m`` from ``position`` is skipped before any link
+        evaluation: no link that long clears sensitivity.
         """
+        if self._link.generation != self._link_generation:
+            self._sync_link()
+        prune = self.use_batch_phy
+        x, y = position
         for tx in self._active.values():
             if tx.sender_id == exclude_sender:
                 continue
             if not _params_compatible(tx.params, params):
                 continue
+            if prune:
+                rng = self._max_range_for(tx.params)
+                if rng is not None:
+                    tx_x, tx_y = tx.position
+                    if math.hypot(tx_x - x, tx_y - y) > rng:
+                        continue
             if self._link.in_range(tx.position, position, tx.params):
                 return True
         return False

@@ -295,6 +295,30 @@ _RANGE_SLACK_REL = 1e-9
 _RANGE_SLACK_ABS = 1e-6
 
 
+def range_at_floor_m(
+    link_budget: LinkBudget, params: LoRaParams, floor_dbm: float
+) -> Optional[float]:
+    """Distance beyond which a frame sent with ``params`` always arrives
+    below ``floor_dbm``, or None when the model's range cannot be bounded
+    (no registered kernel).
+
+    The frame's own power and frequency set the loss budget; the bound is
+    conservative, padded so float rounding in the ``10**x`` inversion can
+    never put a received power above the floor outside it.
+    """
+    if not supports_batch(link_budget):
+        return None
+    model = link_budget.pathloss
+    _, range_kernel = _BATCH_KERNELS[type(model)]
+    max_loss = _tx_base_dbm(link_budget, params) - floor_dbm
+    radius = range_kernel(model, max_loss, params.frequency_mhz)
+    if radius != radius or radius == float("inf"):  # NaN / unbounded
+        return None
+    if radius < 0.0:
+        return 0.0
+    return radius * (1.0 + _RANGE_SLACK_REL) + _RANGE_SLACK_ABS
+
+
 def max_range_m(link_budget: LinkBudget, params: LoRaParams) -> Optional[float]:
     """Distance beyond which no node can clear sensitivity, or None when
     the model's range cannot be bounded (no registered kernel).
@@ -303,14 +327,4 @@ def max_range_m(link_budget: LinkBudget, params: LoRaParams) -> Optional[float]:
     exact batched margin test, so slack only costs a few extra candidate
     evaluations, never correctness.
     """
-    if not supports_batch(link_budget):
-        return None
-    model = link_budget.pathloss
-    _, range_kernel = _BATCH_KERNELS[type(model)]
-    max_loss = _tx_base_dbm(link_budget, params) - sensitivity_dbm(params)
-    radius = range_kernel(model, max_loss, params.frequency_mhz)
-    if radius != radius or radius == float("inf"):  # NaN / unbounded
-        return None
-    if radius < 0.0:
-        return 0.0
-    return radius * (1.0 + _RANGE_SLACK_REL) + _RANGE_SLACK_ABS
+    return range_at_floor_m(link_budget, params, sensitivity_dbm(params))

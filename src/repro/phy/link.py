@@ -138,6 +138,10 @@ class LinkBudget:
         # them once per params object (the pinned params ref keeps id()
         # stable).  Survives invalidate() — floors depend only on params.
         self._floor_cache: Dict[int, tuple] = {}
+        #: Bumped by every :meth:`invalidate`, so holders of values derived
+        #: from this budget (the medium's reachable sets, link qualities
+        #: and range bounds) know to drop them too.
+        self.generation: int = 0
 
     @property
     def supports_reachability_cache(self) -> bool:
@@ -154,6 +158,7 @@ class LinkBudget:
         draw, or edits to the gain/loss attributes.  (Node movement keys
         into fresh cache slots by itself, but the mobility layer calls
         this anyway to keep the cache from accumulating stale positions.)
+        Bumps :attr:`generation`.
         """
         self._quality_cache.clear()
         self._params_refs.clear()
@@ -161,6 +166,7 @@ class LinkBudget:
             self.pathloss.reciprocal
             and self.tx_antenna_gain_dbi == self.rx_antenna_gain_dbi
         )
+        self.generation += 1
 
     def received_power_dbm(
         self, tx_pos: Position, rx_pos: Position, params: LoRaParams
@@ -193,7 +199,10 @@ class LinkBudget:
         quality = cache.get(key)
         if quality is None:
             if len(cache) >= _LINK_CACHE_MAX:
-                self.invalidate()
+                # A full memo is emptied, not invalidated: the channel is
+                # unchanged, so values derived from it stay valid.
+                cache.clear()
+                self._params_refs.clear()
             self._params_refs[id(params)] = params
             quality = self._compute_quality(tx_pos, rx_pos, params)
             cache[key] = quality

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 from repro.phy.modulation import LoRaParams
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReceivedFrame:
     """One frame as seen by the protocol layer.
 
     ``crc_ok`` is False for frames corrupted by a collision — LoRaMesher
     drops those at the packet service, exactly like the firmware drops
     RxDone interrupts flagged with PayloadCrcError.
+
+    Not frozen: the medium builds one per heard (frame, listener) pair,
+    and a frozen dataclass's ``__init__`` costs about three times as much.
+    Receivers read it and never write it.
     """
 
     payload: bytes

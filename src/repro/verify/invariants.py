@@ -536,17 +536,11 @@ class InvariantChecker:
                     "but the via is not a current direct neighbour",
                 )
             elif metric > 1:
-                # Graced monotonicity along the via chain.
+                # Graced monotonicity along the via chain.  A next hop
+                # without a route is a chain break, which the loop phase
+                # counts.
                 via_node = live.get(via)
-                if via_node is None:
-                    downstream = None
-                else:
-                    downstream = via_node.table._routes.get(dst)
-                    if downstream is None:
-                        # The next hop lost its route first — a chain
-                        # break the next hello round repairs (or
-                        # expires); benign.
-                        self._observe("chain_break")
+                downstream = None if via_node is None else via_node.table._routes.get(dst)
                 if downstream is not None and downstream.metric >= metric:
                     self._non_monotone(node, entry, downstream)
                 elif monotone_seen:

@@ -7,6 +7,9 @@ on or off — including under mobility, attach/detach churn, and CAD
 self-sensing.
 """
 
+import dataclasses
+from functools import partial
+
 import pytest
 
 from repro.medium.channel import DropReason, Medium
@@ -14,12 +17,33 @@ from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.phy.airtime import time_on_air
 from repro.phy.link import LinkBudget
+from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.pathloss import LogDistancePathLoss
+from repro.phy.regions import UNRESTRICTED
 from repro.topology.placement import grid_positions
 
 from tests.conftest import build_radios
 
 CFG = MesherConfig(hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0)
+
+
+def _observed(net: MeshNetwork):
+    """Trace stream, drop-reason histogram and per-node statistics."""
+    events = tuple(
+        (e.time, e.node, e.kind, tuple(sorted(e.detail.items())))
+        for e in net.trace.events()
+    )
+    stats = tuple(
+        (
+            n.address,
+            n.radio.frames_sent,
+            n.radio.frames_received,
+            n.radio.frames_crc_failed,
+            tuple(sorted((r.address, r.via, r.metric) for r in n.table)),
+        )
+        for n in net.nodes
+    )
+    return events, net.medium.outcome_counts(), stats
 
 
 def _run_network(
@@ -39,21 +63,54 @@ def _run_network(
     if not batch:
         net.medium.use_batch_phy = False
     net.run(for_s=duration)
-    events = tuple(
-        (e.time, e.node, e.kind, tuple(sorted(e.detail.items())))
-        for e in net.trace.events()
+    return _observed(net)
+
+
+#: Default log-distance channel at SF7/BW125: a 137 m range, and a
+#: same-SF interference cutoff of 403.2 m between senders.
+PRUNING_LAYOUT = [
+    (0.0, 0.0), (-60.0, 0.0), (0.0, -60.0),  # cluster A
+    (136.0, 0.0),  # boundary band: 136 m from A0, facing cluster B
+    (400.0, 0.0),  # just inside A0's cutoff: collides at the boundary
+    (405.0, 0.0), (465.0, 0.0), (405.0, 60.0),  # cluster B, beyond it
+    # SF8 nodes, cross-SF to everyone else: a pair beyond the 160.3 m
+    # cross-SF cutoff of cluster A, and one just inside A0's, 20 m from
+    # the boundary-band listener, strong enough to corrupt there.
+    (0.0, 200.0), (0.0, 260.0), (156.0, 0.0),
+]
+PRUNING_BOUNDARY = 3
+#: Broadcasting node -> (first broadcast, period) in seconds.  The two
+#: colliders take turns, so either one's collisions show on their own.
+PRUNING_BROADCASTS = {
+    0: (10.0, 2.0),  # A0
+    5: (10.0, 2.0),  # B0
+    8: (10.0, 2.0),  # first node of the SF8 pair
+    4: (10.0, 4.0),  # same-SF node inside A0's cutoff
+    10: (12.0, 4.0),  # SF8 node inside A0's cross-SF cutoff
+}
+PRUNING_CFG = MesherConfig(
+    hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0, region=UNRESTRICTED
+)
+
+
+def _pruning_network() -> MeshNetwork:
+    sf8 = dataclasses.replace(
+        PRUNING_CFG, lora=LoRaParams(spreading_factor=SpreadingFactor.SF8)
     )
-    stats = tuple(
-        (
-            n.address,
-            n.radio.frames_sent,
-            n.radio.frames_received,
-            n.radio.frames_crc_failed,
-            tuple(sorted((r.address, r.via, r.metric) for r in n.table)),
-        )
-        for n in net.nodes
+    return MeshNetwork.from_positions(
+        PRUNING_LAYOUT, config=PRUNING_CFG, configs=[None] * 8 + [sf8] * 3, seed=4
     )
-    return events, net.medium.outcome_counts(), stats
+
+
+def _run_pruning_layout(*, batch: bool):
+    net = _pruning_network()
+    net.medium.use_batch_phy = batch
+    for index, (first, period) in PRUNING_BROADCASTS.items():
+        broadcast = partial(net.nodes[index].broadcast, bytes(100))
+        for k in range(int(600.0 / period)):
+            net.sim.schedule(first + period * k, broadcast)
+    net.run(for_s=620.0)
+    return _observed(net)
 
 
 class TestFastSlowEquivalence:
@@ -117,6 +174,32 @@ class TestReachabilityInvalidation:
         a.transmit(bytes(10))
         sim.run(until=4.0)
         assert self._deliveries(medium) == 1  # nobody left to hear it
+
+    @pytest.mark.parametrize(
+        "loss_before, loss_after, heard_after",
+        [(0.0, 30.0, False), (30.0, 0.0, True)],
+        ids=["weakened", "strengthened"],
+    )
+    def test_link_budget_edit_is_observed(
+        self, sim, params, loss_before, loss_after, heard_after
+    ):
+        """Editing the budget's losses and calling ``invalidate()`` (the
+        documented protocol) reaches the medium's cached reachable sets,
+        link qualities and range bounds, not only the link memo."""
+        link = LinkBudget(LogDistancePathLoss(), fixed_loss_db=loss_before)
+        medium = Medium(sim, link)
+        a, b = build_radios(sim, medium, [(0.0, 0.0), (120.0, 0.0)], params)
+        a.transmit(bytes(10))
+        sim.run(until=2.0)
+        assert self._deliveries(medium) == (0 if heard_after else 1)
+        link.fixed_loss_db = loss_after
+        link.invalidate()
+        a.transmit(bytes(10))
+        sim.run(until=sim.now + time_on_air(10, params) / 2)
+        assert medium.channel_busy(b.position, params) is heard_after
+        sim.run(until=4.0)
+        assert self._deliveries(medium) == 1
+        assert b.frames_received == 1
 
     def test_mobility_equivalent_with_and_without_culling(self, sim, params):
         def run(fast: bool):
@@ -214,6 +297,54 @@ class TestBatchEquivalence:
         off = run(False)
         assert on[0] == off[0], "trace streams diverged under mobility"
         assert on[1:] == off[1:]
+
+    def test_pruned_interferers_identical(self, monkeypatch):
+        """Interference pruning, where it fires, leaves every outcome as
+        the full scan has it.
+
+        The layout puts cluster B's senders just beyond the same-SF
+        cutoff of cluster A's (``R_frame + R_int`` = 403.2 m here), a
+        listener in the boundary band at the edge of A0's range, a node
+        just inside the cutoff whose frames still collide there, and an
+        SF8 pair beyond the much shorter cross-SF cutoff.  Broadcasts from
+        both clusters and two SF8 nodes run concurrently for ten minutes.
+        """
+        from repro.medium import channel
+
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return survives_interference(*args)
+
+        survives_interference = channel.survives_interference
+        monkeypatch.setattr(channel, "survives_interference", counted)
+
+        on = _run_pruning_layout(batch=True)
+        pruned_calls = len(calls)
+        off = _run_pruning_layout(batch=False)
+        full_calls = len(calls) - pruned_calls
+        assert on[0] == off[0], "trace streams diverged"
+        assert on[1] == off[1], "drop-reason histograms diverged"
+        assert on[2] == off[2], "node statistics diverged"
+        # The case prunes: the full scan tests interferers the pruned
+        # overlap sets leave out.
+        assert pruned_calls < full_calls
+        # ...and frames from just inside a cutoff still corrupt frames at
+        # the boundary-band listener.
+        boundary = on[2][PRUNING_BOUNDARY]
+        assert boundary[3] > 0 and on[1][DropReason.COLLISION] > 0
+
+    def test_pruning_layout_geometry(self):
+        """The distances ``test_pruned_interferers_identical`` relies on."""
+        net = _pruning_network()
+        medium = net.medium
+        sf7 = net.nodes[0].config.lora
+        sf8 = net.nodes[-1].config.lora
+        assert 136.0 < medium.max_range_m(sf7) < 137.5
+        assert 400.0 < medium._interference_cutoff(sf7, sf7) < 405.0
+        assert 156.0 < medium._interference_cutoff(sf7, sf8) < 200.0
+        assert 200.0 < medium._interference_cutoff(sf8, sf7) < 260.0
 
     def test_convergence_time_identical(self):
         def converge(batch: bool):

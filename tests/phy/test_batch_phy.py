@@ -10,12 +10,13 @@ op identically, so the property below is exact float equality.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy import batch
 from repro.phy.fading import BlockFadingPathLoss
-from repro.phy.link import LinkBudget
+from repro.phy.link import LinkBudget, sensitivity_dbm
 from repro.phy.modulation import Bandwidth, LoRaParams, SpreadingFactor
 from repro.phy.pathloss import (
     FreeSpacePathLoss,
@@ -157,3 +158,70 @@ class TestMaxRangeEdgeCases:
         budget = LinkBudget(MultiWallPathLoss([]), fixed_loss_db=300.0)
         rng_m = batch.max_range_m(budget, LoRaParams())
         assert rng_m is not None and rng_m >= 0.0
+
+
+class TestRangeAtFloor:
+    """``range_at_floor_m`` bounds where a frame can still arrive above a
+    floor: the medium prunes interferers with it, so RSSI must be at or
+    below the floor at the returned radius and above it just inside."""
+
+    FLOOR_OFFSETS_DB = (-6.0, 0.0, 16.0)  # capture, sensitivity, inter-SF
+
+    @staticmethod
+    def _models():
+        # One per registered kernel; the multi-wall walls stay off the
+        # rays the test measures along, so only the base loss applies.
+        return [
+            FreeSpacePathLoss(),
+            LogDistancePathLoss(),
+            MultiWallPathLoss([((-50.0, 10.0), (-50.0, 500.0))], wall_loss_db=9.0),
+        ]
+
+    def test_every_registered_kernel_is_covered(self):
+        assert {type(model) for model in self._models()} == set(batch._BATCH_KERNELS)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            LoRaParams(),
+            LoRaParams(bandwidth=Bandwidth.BW500),
+            LoRaParams(spreading_factor=SpreadingFactor.SF12, tx_power_dbm=2.0),
+            LoRaParams(spreading_factor=SpreadingFactor.SF9, frequency_mhz=433.0),
+        ],
+    )
+    def test_rssi_at_floor_on_the_radius_and_above_inside(self, params):
+        for model in self._models():
+            budget = LinkBudget(model)
+            for offset in self.FLOOR_OFFSETS_DB:
+                floor = sensitivity_dbm(params) + offset
+                radius = batch.range_at_floor_m(budget, params, floor)
+                assert radius is not None and radius > 10.0, (model, offset)
+                for ux, uy in ((1.0, 0.0), (0.6, 0.8)):
+                    at = (radius * ux, radius * uy)
+                    inside = (radius * (1 - 1e-4) * ux, radius * (1 - 1e-4) * uy)
+                    assert budget.received_power_dbm((0.0, 0.0), at, params) <= floor
+                    assert budget.received_power_dbm((0.0, 0.0), inside, params) > floor
+
+    def test_walls_only_lower_rssi_beyond_the_radius(self):
+        params = LoRaParams()
+        budget = LinkBudget(
+            MultiWallPathLoss([((30.0, -500.0), (30.0, 500.0))], wall_loss_db=9.0)
+        )
+        floor = sensitivity_dbm(params) - 6.0
+        radius = batch.range_at_floor_m(budget, params, floor)
+        assert budget.received_power_dbm((0.0, 0.0), (radius, 0.0), params) <= floor
+
+    def test_sensitivity_floor_is_max_range(self):
+        for model in self._models():
+            budget = LinkBudget(model)
+            for params in (LoRaParams(), LoRaParams(spreading_factor=SpreadingFactor.SF10)):
+                assert batch.range_at_floor_m(
+                    budget, params, sensitivity_dbm(params)
+                ) == batch.max_range_m(budget, params)
+
+    def test_unbounded_without_kernel(self):
+
+        class Alien(LogDistancePathLoss):
+            pass
+
+        assert batch.range_at_floor_m(LinkBudget(Alien()), LoRaParams(), -120.0) is None

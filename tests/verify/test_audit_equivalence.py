@@ -66,7 +66,7 @@ class WalkPerOriginChecker(InvariantChecker):
             return
         downstream = via_node.table.get(entry.address)
         if downstream is None:
-            self._observe("chain_break")
+            # A chain break: the walk below counts it.
             self._monotone_seen.pop(key, None)
             return
         if downstream.metric < entry.metric:

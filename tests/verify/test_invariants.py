@@ -147,6 +147,19 @@ class TestFlips:
             checker.audit()
         assert exc.value.violation.invariant is Invariant.ROUTING_LOOP
 
+    def test_chain_break_counted_once_per_pair(self):
+        net = converged_line(4)
+        a, b, c, d = net.nodes
+        assert a.table.next_hop(d.address) == b.address
+        assert b.table.next_hop(d.address) == c.address
+        # c forgets d while a and b still route through it: (b, d) breaks
+        # at its first hop and (a, d) one hop further down.
+        del c.table._routes[d.address]
+        checker = InvariantChecker(net, strict=False)
+        checker.audit()
+        assert checker.observations["chain_break"] == 2
+        assert not checker.violations
+
     def test_ghost_loop_never_violates(self):
         net = converged_line(3)
         a, b, c = net.nodes
