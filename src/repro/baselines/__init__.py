@@ -16,8 +16,11 @@ The paper motivates mesh routing against the two obvious alternatives:
   floods discover routes only when traffic needs them, the proactive
   protocol's opposite corner of the design space.
 
-All of them use the identical kernel/PHY/medium/radio stack, so
-benchmark differences isolate the protocol, not the substrate.
+All of them build on :class:`repro.net.api.Network` (the identical
+kernel/PHY/medium/radio substrate), transmit through the mesh's
+:class:`repro.net.pump.TxPump`, and take their radio parameters and
+regional rules from the same ``MesherConfig``, so benchmark differences
+isolate the protocol, not the substrate.
 """
 
 from repro.baselines.aodv import AodvNetwork, AodvNode

@@ -34,21 +34,21 @@ from __future__ import annotations
 import logging
 import random
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.medium.channel import Medium
 from repro.net.addresses import BROADCAST_ADDRESS, validate_address
+from repro.net.api import FIRST_ADDRESS, Network
+from repro.net.config import MesherConfig
 from repro.net.mesher import AppMessage
-from repro.phy.airtime import time_on_air
-from repro.phy.link import LinkBudget
-from repro.phy.modulation import LoRaParams
-from repro.phy.pathloss import LogDistancePathLoss, PathLossModel, Position
-from repro.phy.regions import DutyCycleAccountant, EU868, Region
+from repro.net.pump import TxPump, TxStats
+from repro.net.queues import PacketQueue
+from repro.phy.pathloss import PathLossModel, Position
 from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ class _Route:
 
 
 @dataclass
-class AodvStats:
+class AodvStats(TxStats):
     """Per-node protocol counters."""
 
     rreqs_originated: int = 0
@@ -126,6 +126,11 @@ class AodvNode:
     BUFFER_CAPACITY = 8
     #: (origin, rreq_id) dedup cache size.
     DEDUP_CAPACITY = 256
+    #: Upper bound of the uniform pre-send backoff (seconds).
+    BACKOFF_MAX_S = 0.4
+    #: Listen before talk: an RREQ flood plus its RREP all land within
+    #: one backoff window; without CAD the reply reliably collides.
+    CAD_RETRIES = 8
 
     def __init__(
         self,
@@ -133,34 +138,36 @@ class AodvNode:
         medium: Medium,
         address: int,
         position: Position,
-        params: LoRaParams,
+        config: MesherConfig,
         rng: random.Random,
-        *,
-        region: Region = EU868,
-        backoff_max_s: float = 0.4,
     ) -> None:
         validate_address(address)
         self.sim = sim
         self.address = address
-        self._params = params
-        self._rng = rng
-        self.backoff_max_s = backoff_max_s
-        self.radio = Radio(sim, medium, address, position, params)
+        self.radio = Radio(sim, medium, address, position, config.lora)
         self.radio.on_receive = self._on_frame
-        self.radio.on_tx_done = lambda: self._kick()
-        self.duty = DutyCycleAccountant(region)
+        self.stats = AodvStats()
+        self.pump = TxPump(
+            sim,
+            self.radio,
+            PacketQueue(sys.maxsize),
+            self.stats,
+            region=config.region,
+            strict=config.strict_duty_cycle,
+            name=f"aodv{address:04x}",
+            backoff=lambda: rng.uniform(0, self.BACKOFF_MAX_S),
+            cad_retries=self.CAD_RETRIES,
+            cad_delay=lambda: rng.uniform(0.02, self.BACKOFF_MAX_S),
+        )
+        self.duty = self.pump.duty
         self.routes: Dict[int, _Route] = {}
         self._rreq_id = 0
         self._seen_rreqs: Set[Tuple[int, int]] = set()
         self._seen_order: List[Tuple[int, int]] = []
         self._pending: Dict[int, List[bytes]] = {}  # dst -> buffered payloads
         self._discovering: Dict[int, int] = {}  # dst -> attempts made
-        self._outbox: List[bytes] = []
-        self._pump_armed = False
-        self._cad_attempts = 0
         self.inbox: List[AppMessage] = []
         self.on_message: Optional[Callable[[AppMessage], None]] = None
-        self.stats = AodvStats()
 
     def start(self) -> None:
         """Enter continuous receive."""
@@ -215,7 +222,7 @@ class AodvNode:
         self._remember_rreq((self.address, self._rreq_id))
         self.stats.rreqs_originated += 1
         body = _RREQ.pack(self.address, self._rreq_id, dst, 0, DEFAULT_RREQ_TTL)
-        self._enqueue(
+        self.pump.submit(
             encode_frame(BROADCAST_ADDRESS, self.address, TYPE_RREQ, self.address, body)
         )
         self.sim.schedule(
@@ -257,13 +264,13 @@ class AodvNode:
             self.stats.rreps_sent += 1
             next_hop = self._fresh_route(origin).next_hop  # just learned
             body = struct.pack("<H", next_hop) + _RREP.pack(origin, self.address, 0)
-            self._enqueue(encode_frame(origin, self.address, TYPE_RREP, self.address, body))
+            self.pump.submit(encode_frame(origin, self.address, TYPE_RREP, self.address, body))
             return
         if ttl <= 1:
             return
         self.stats.rreqs_relayed += 1
         body = _RREQ.pack(origin, rreq_id, target, hops + 1, ttl - 1)
-        self._enqueue(
+        self.pump.submit(
             encode_frame(BROADCAST_ADDRESS, origin, TYPE_RREQ, self.address, body)
         )
 
@@ -290,7 +297,7 @@ class AodvNode:
             return  # reverse route expired; the origin will retry
         self.stats.rreps_forwarded += 1
         body = struct.pack("<H", route.next_hop) + _RREP.pack(origin, target, hops + 1)
-        self._enqueue(encode_frame(origin, frame.src, TYPE_RREP, self.address, body))
+        self.pump.submit(encode_frame(origin, frame.src, TYPE_RREP, self.address, body))
 
     def _handle_data(self, frame: AodvFrame) -> None:
         hop, payload = self._split_hop(frame.body)
@@ -320,7 +327,7 @@ class AodvNode:
         self, dst: int, src: int, next_hop: int, payload: bytes, *, refresh: bool = False
     ) -> None:
         body = struct.pack("<H", next_hop) + payload
-        self._enqueue(encode_frame(dst, src, TYPE_DATA, self.address, body))
+        self.pump.submit(encode_frame(dst, src, TYPE_DATA, self.address, body))
         if refresh:
             self._touch_route(dst)
 
@@ -375,105 +382,30 @@ class AodvNode:
         if len(self._seen_order) > self.DEDUP_CAPACITY:
             self._seen_rreqs.discard(self._seen_order.pop(0))
 
-    # ==================================================================
-    # TX pump (same shape as the flooding baseline)
-    # ==================================================================
-    def _enqueue(self, frame: bytes) -> None:
-        self._outbox.append(frame)
-        self._kick()
 
-    def _kick(self) -> None:
-        if self._pump_armed or self.radio.transmitting or not self._outbox:
-            return
-        self._pump_armed = True
-        self.sim.schedule(
-            self._rng.uniform(0, self.backoff_max_s), self._pump,
-            label=f"aodv{self.address:04x} pump",
-        )
-
-    def _pump(self) -> None:
-        self._pump_armed = False
-        if self.radio.transmitting or not self._outbox:
-            return
-        frame = self._outbox[0]
-        airtime = time_on_air(len(frame), self._params)
-        now = self.sim.now
-        if not self.duty.can_transmit(now, airtime):
-            self._pump_armed = True
-            self.sim.schedule(
-                self.duty.next_allowed_time(now, airtime) - now, self._pump,
-                label=f"aodv{self.address:04x} duty",
-            )
-            return
-        # Listen before talk: an RREQ flood plus its RREP all land within
-        # one backoff window; without CAD the reply reliably collides.
-        if self.radio.channel_activity() and self._cad_attempts < 8:
-            self._cad_attempts += 1
-            self._pump_armed = True
-            self.sim.schedule(
-                self._rng.uniform(0.02, self.backoff_max_s), self._pump,
-                label=f"aodv{self.address:04x} cad",
-            )
-            return
-        self._cad_attempts = 0
-        self._outbox.pop(0)
-        self.duty.record(now, airtime)
-        self.radio.transmit(frame)
-
-
-class AodvNetwork:
-    """A deployment of AODV nodes (mirror of the other *Network builders)."""
+class AodvNetwork(Network):
+    """A deployment of AODV nodes on the config's radio and region."""
 
     def __init__(
         self,
         positions: Sequence[Position],
         *,
+        config: Optional[MesherConfig] = None,
         seed: int = 0,
-        params: Optional[LoRaParams] = None,
         pathloss: Optional[PathLossModel] = None,
     ) -> None:
         if not positions:
             raise ValueError("a network needs at least one node position")
-        self.sim = Simulator()
-        self.rngs = RngRegistry(seed)
-        params = params or LoRaParams()
-        model = pathloss if pathloss is not None else LogDistancePathLoss()
-        self.medium = Medium(self.sim, LinkBudget(model))
-        self._nodes: Dict[int, AodvNode] = {}
+        super().__init__(seed=seed, pathloss=pathloss)
+        config = config or MesherConfig()
         for i, position in enumerate(positions):
-            address = 0x0001 + i
+            address = FIRST_ADDRESS + i
             node = AodvNode(
-                self.sim, self.medium, address, position, params,
+                self.sim, self.medium, address, position, config,
                 self.rngs.stream(f"aodv.{address}"),
             )
             node.start()
             self._nodes[address] = node
-
-    @property
-    def addresses(self) -> List[int]:
-        """Node addresses in insertion order."""
-        return list(self._nodes)
-
-    @property
-    def nodes(self) -> List[AodvNode]:
-        """All nodes in insertion order."""
-        return list(self._nodes.values())
-
-    def node(self, address: int) -> AodvNode:
-        """Node by address."""
-        return self._nodes[address]
-
-    def run(self, *, for_s: float) -> float:
-        """Advance the simulation."""
-        return self.sim.run(until=self.sim.now + for_s)
-
-    def total_frames_sent(self) -> int:
-        """Frames on the air across the network."""
-        return sum(n.radio.frames_sent for n in self._nodes.values())
-
-    def total_airtime_s(self) -> float:
-        """Cumulative transmit airtime (seconds)."""
-        return sum(n.radio.tx_airtime_s for n in self._nodes.values())
 
     def total_control_frames(self) -> int:
         """RREQ + RREP traffic across the network."""

@@ -15,21 +15,21 @@ from __future__ import annotations
 
 import logging
 import struct
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.medium.channel import Medium
 from repro.net.addresses import BROADCAST_ADDRESS, validate_address
+from repro.net.api import FIRST_ADDRESS, Network
+from repro.net.config import MesherConfig
 from repro.net.mesher import AppMessage
-from repro.phy.airtime import time_on_air
-from repro.phy.link import LinkBudget
-from repro.phy.modulation import LoRaParams
-from repro.phy.pathloss import LogDistancePathLoss, PathLossModel, Position
-from repro.phy.regions import DutyCycleAccountant, Region, EU868
+from repro.net.pump import TxPump, TxStats
+from repro.net.queues import PacketQueue
+from repro.phy.pathloss import PathLossModel, Position
 from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +80,8 @@ class FloodingNode:
 
     #: Size of the duplicate-suppression cache (FIFO eviction).
     DEDUP_CAPACITY = 512
+    #: Upper bound of the uniform pre-send backoff (seconds).
+    BACKOFF_MAX_S = 0.5
 
     def __init__(
         self,
@@ -87,29 +89,32 @@ class FloodingNode:
         medium: Medium,
         address: int,
         position: Position,
-        params: LoRaParams,
+        config: MesherConfig,
         rng,
         *,
-        region: Region = EU868,
         ttl: int = DEFAULT_TTL,
-        backoff_max_s: float = 0.5,
     ) -> None:
         validate_address(address)
         self.sim = sim
         self.address = address
         self.ttl = ttl
-        self.backoff_max_s = backoff_max_s
-        self._rng = rng
-        self.radio = Radio(sim, medium, address, position, params)
+        self.radio = Radio(sim, medium, address, position, config.lora)
         self.radio.on_receive = self._on_frame
-        self.radio.on_tx_done = self._on_tx_done
-        self.duty = DutyCycleAccountant(region)
-        self._params = params
+        self.stats = TxStats()
+        self.pump = TxPump(
+            sim,
+            self.radio,
+            PacketQueue(sys.maxsize),
+            self.stats,
+            region=config.region,
+            strict=config.strict_duty_cycle,
+            name=f"flood{address}",
+            backoff=lambda: rng.uniform(0, self.BACKOFF_MAX_S),
+        )
+        self.duty = self.pump.duty
         self._seq = 0
         self._seen: Set[Tuple[int, int]] = set()
         self._seen_order: List[Tuple[int, int]] = []
-        self._outbox: List[bytes] = []
-        self._pump_armed = False
         self.inbox: List[AppMessage] = []
         self.on_message: Optional[Callable[[AppMessage], None]] = None
 
@@ -130,7 +135,7 @@ class FloodingNode:
         self._seq = (self._seq + 1) % 0x10000
         self._remember((frame.src, frame.seq))
         self.originated += 1
-        self._enqueue(encode_flood(frame))
+        self.pump.submit(encode_flood(frame))
         return True
 
     def receive(self) -> Optional[AppMessage]:
@@ -165,42 +170,7 @@ class FloodingNode:
                 dst=frame.dst, src=frame.src, seq=frame.seq, ttl=frame.ttl - 1, payload=frame.payload
             )
             self.rebroadcasts += 1
-            self._enqueue(encode_flood(relay))
-
-    # ------------------------------------------------------------------
-    def _enqueue(self, payload: bytes) -> None:
-        self._outbox.append(payload)
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._pump_armed or self.radio.transmitting or not self._outbox:
-            return
-        self._pump_armed = True
-        self.sim.schedule(
-            self._rng.uniform(0, self.backoff_max_s), self._pump, label=f"flood{self.address} pump"
-        )
-
-    def _pump(self) -> None:
-        self._pump_armed = False
-        if self.radio.transmitting or not self._outbox:
-            return
-        payload = self._outbox[0]
-        airtime = time_on_air(len(payload), self._params)
-        now = self.sim.now
-        if not self.duty.can_transmit(now, airtime):
-            self._pump_armed = True
-            self.sim.schedule(
-                self.duty.next_allowed_time(now, airtime) - now,
-                self._pump,
-                label=f"flood{self.address} duty",
-            )
-            return
-        self._outbox.pop(0)
-        self.duty.record(now, airtime)
-        self.radio.transmit(payload)
-
-    def _on_tx_done(self) -> None:
-        self._kick()
+            self.pump.submit(encode_flood(relay))
 
     def _remember(self, key: Tuple[int, int]) -> None:
         self._seen.add(key)
@@ -210,62 +180,32 @@ class FloodingNode:
             self._seen.discard(oldest)
 
 
-class FloodingNetwork:
-    """A deployment of flooding nodes (mirror of MeshNetwork)."""
+class FloodingNetwork(Network):
+    """A deployment of flooding nodes on the config's radio and region."""
 
     def __init__(
         self,
         positions: Sequence[Position],
         *,
+        config: Optional[MesherConfig] = None,
         seed: int = 0,
-        params: Optional[LoRaParams] = None,
         pathloss: Optional[PathLossModel] = None,
         ttl: int = DEFAULT_TTL,
     ) -> None:
         if not positions:
             raise ValueError("a network needs at least one node position")
-        self.sim = Simulator()
-        self.rngs = RngRegistry(seed)
-        params = params or LoRaParams()
-        model = pathloss if pathloss is not None else LogDistancePathLoss()
-        self.medium = Medium(self.sim, LinkBudget(model))
-        self._nodes: Dict[int, FloodingNode] = {}
+        super().__init__(seed=seed, pathloss=pathloss)
+        config = config or MesherConfig()
         for i, position in enumerate(positions):
-            address = 0x0001 + i
+            address = FIRST_ADDRESS + i
             node = FloodingNode(
                 self.sim,
                 self.medium,
                 address,
                 position,
-                params,
+                config,
                 self.rngs.stream(f"flood.{address}"),
                 ttl=ttl,
             )
             node.start()
             self._nodes[address] = node
-
-    @property
-    def addresses(self) -> List[int]:
-        """Node addresses in insertion order."""
-        return list(self._nodes)
-
-    @property
-    def nodes(self) -> List[FloodingNode]:
-        """All nodes in insertion order."""
-        return list(self._nodes.values())
-
-    def node(self, address: int) -> FloodingNode:
-        """Node by address."""
-        return self._nodes[address]
-
-    def run(self, *, for_s: float) -> float:
-        """Advance the simulation."""
-        return self.sim.run(until=self.sim.now + for_s)
-
-    def total_frames_sent(self) -> int:
-        """Frames on the air across the network."""
-        return sum(n.radio.frames_sent for n in self._nodes.values())
-
-    def total_airtime_s(self) -> float:
-        """Cumulative transmit airtime (seconds)."""
-        return sum(n.radio.tx_airtime_s for n in self._nodes.values())

@@ -37,19 +37,7 @@ class OracleNode(MesherNode):
 class OracleNetwork(MeshNetwork):
     """MeshNetwork that builds OracleNode instances."""
 
-    def add_node(self, address, position, *, config=None, name=""):
-        node = OracleNode(
-            self.sim,
-            self.medium,
-            address,
-            position,
-            config,
-            rngs=self.rngs,
-            trace=self.trace,
-            name=name,
-        )
-        self._nodes[address] = node
-        return node
+    node_class = OracleNode
 
 
 def build_oracle_network(

@@ -14,28 +14,31 @@ apples.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Optional, Sequence
+import sys
+from typing import Callable, List, Optional, Sequence
 
 from repro.medium.channel import Medium
 from repro.net import serialization
 from repro.net.addresses import BROADCAST_ADDRESS, validate_address
+from repro.net.api import FIRST_ADDRESS, Network
+from repro.net.config import MesherConfig
 from repro.net.mesher import AppMessage
 from repro.net.packets import DataPacket
-from repro.phy.airtime import time_on_air
-from repro.phy.link import LinkBudget
-from repro.phy.modulation import LoRaParams
-from repro.phy.pathloss import LogDistancePathLoss, PathLossModel, Position
-from repro.phy.regions import DutyCycleAccountant, EU868, Region
+from repro.net.pump import TxPump, TxStats
+from repro.net.queues import PacketQueue
+from repro.phy.pathloss import PathLossModel, Position
 from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
 
 logger = logging.getLogger(__name__)
 
 
 class _StarEndpoint:
-    """Shared transmit machinery of gateway and end nodes."""
+    """Shared radio, pump and inbox of gateway and end nodes."""
+
+    #: Upper bound of the uniform pre-send backoff (seconds).
+    BACKOFF_MAX_S = 0.5
 
     def __init__(
         self,
@@ -43,24 +46,26 @@ class _StarEndpoint:
         medium: Medium,
         address: int,
         position: Position,
-        params: LoRaParams,
+        config: MesherConfig,
         rng,
-        *,
-        region: Region = EU868,
-        backoff_max_s: float = 0.5,
     ) -> None:
         validate_address(address)
         self.sim = sim
         self.address = address
-        self._params = params
-        self._rng = rng
-        self.backoff_max_s = backoff_max_s
-        self.radio = Radio(sim, medium, address, position, params)
+        self.radio = Radio(sim, medium, address, position, config.lora)
         self.radio.on_receive = self._on_frame
-        self.radio.on_tx_done = lambda: self._kick()
-        self.duty = DutyCycleAccountant(region)
-        self._outbox: List[bytes] = []
-        self._pump_armed = False
+        self.stats = TxStats()
+        self.pump = TxPump(
+            sim,
+            self.radio,
+            PacketQueue(sys.maxsize),
+            self.stats,
+            region=config.region,
+            strict=config.strict_duty_cycle,
+            name=f"star{address}",
+            backoff=lambda: rng.uniform(0, self.BACKOFF_MAX_S),
+        )
+        self.duty = self.pump.duty
         self.inbox: List[AppMessage] = []
         self.on_message: Optional[Callable[[AppMessage], None]] = None
         self.delivered = 0
@@ -74,39 +79,6 @@ class _StarEndpoint:
         return self.inbox.pop(0) if self.inbox else None
 
     # ------------------------------------------------------------------
-    def _enqueue_frame(self, frame: bytes) -> None:
-        self._outbox.append(frame)
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._pump_armed or self.radio.transmitting or not self._outbox:
-            return
-        self._pump_armed = True
-        self.sim.schedule(
-            self._rng.uniform(0, self.backoff_max_s),
-            self._pump,
-            label=f"star{self.address} pump",
-        )
-
-    def _pump(self) -> None:
-        self._pump_armed = False
-        if self.radio.transmitting or not self._outbox:
-            return
-        frame = self._outbox[0]
-        airtime = time_on_air(len(frame), self._params)
-        now = self.sim.now
-        if not self.duty.can_transmit(now, airtime):
-            self._pump_armed = True
-            self.sim.schedule(
-                self.duty.next_allowed_time(now, airtime) - now,
-                self._pump,
-                label=f"star{self.address} duty",
-            )
-            return
-        self._outbox.pop(0)
-        self.duty.record(now, airtime)
-        self.radio.transmit(frame)
-
     def _deliver(self, packet: DataPacket) -> None:
         self.delivered += 1
         message = AppMessage(
@@ -146,7 +118,7 @@ class StarGateway(_StarEndpoint):
             dst=packet.dst, src=packet.src, via=packet.dst, payload=packet.payload
         )
         self.downlinks_relayed += 1
-        self._enqueue_frame(serialization.encode(downlink))
+        self.pump.submit(serialization.encode(downlink))
 
 
 class StarEndNode(_StarEndpoint):
@@ -162,7 +134,7 @@ class StarEndNode(_StarEndpoint):
         path, so even neighbour traffic takes two hops)."""
         packet = DataPacket(dst=dst, src=self.address, via=self.gateway_address, payload=payload)
         self.originated += 1
-        self._enqueue_frame(serialization.encode(packet))
+        self.pump.submit(serialization.encode(packet))
         return True
 
     def _on_frame(self, rx: ReceivedFrame) -> None:
@@ -178,15 +150,15 @@ class StarEndNode(_StarEndpoint):
             self._deliver(packet)
 
 
-class StarNetwork:
-    """A gateway plus end nodes (the first position is the gateway)."""
+class StarNetwork(Network):
+    """A gateway plus end nodes on the config's radio and region."""
 
     def __init__(
         self,
         positions: Sequence[Position],
         *,
+        config: Optional[MesherConfig] = None,
         seed: int = 0,
-        params: Optional[LoRaParams] = None,
         pathloss: Optional[PathLossModel] = None,
         gateway_index: int = 0,
     ) -> None:
@@ -194,33 +166,19 @@ class StarNetwork:
             raise ValueError("a star needs a gateway and at least one end node")
         if not 0 <= gateway_index < len(positions):
             raise ValueError("gateway_index out of range")
-        self.sim = Simulator()
-        self.rngs = RngRegistry(seed)
-        params = params or LoRaParams()
-        model = pathloss if pathloss is not None else LogDistancePathLoss()
-        self.medium = Medium(self.sim, LinkBudget(model))
-
-        self._nodes: Dict[int, _StarEndpoint] = {}
-        gateway_address = 0x0001 + gateway_index
+        super().__init__(seed=seed, pathloss=pathloss)
+        config = config or MesherConfig()
+        gateway_address = FIRST_ADDRESS + gateway_index
         for i, position in enumerate(positions):
-            address = 0x0001 + i
+            address = FIRST_ADDRESS + i
+            rng = self.rngs.stream(f"star.{address}")
             if i == gateway_index:
                 node: _StarEndpoint = StarGateway(
-                    self.sim,
-                    self.medium,
-                    address,
-                    position,
-                    params,
-                    self.rngs.stream(f"star.{address}"),
+                    self.sim, self.medium, address, position, config, rng
                 )
             else:
                 node = StarEndNode(
-                    self.sim,
-                    self.medium,
-                    address,
-                    position,
-                    params,
-                    self.rngs.stream(f"star.{address}"),
+                    self.sim, self.medium, address, position, config, rng,
                     gateway_address=gateway_address,
                 )
             node.start()
@@ -234,32 +192,6 @@ class StarNetwork:
         assert isinstance(node, StarGateway)
         return node
 
-    @property
-    def addresses(self) -> List[int]:
-        """All addresses in insertion order (gateway included)."""
-        return list(self._nodes)
-
-    @property
-    def nodes(self) -> List[_StarEndpoint]:
-        """All nodes (gateway + end nodes) in insertion order."""
-        return list(self._nodes.values())
-
-    def node(self, address: int) -> _StarEndpoint:
-        """Node by address."""
-        return self._nodes[address]
-
     def end_nodes(self) -> List[StarEndNode]:
         """All end nodes."""
         return [n for n in self._nodes.values() if isinstance(n, StarEndNode)]
-
-    def run(self, *, for_s: float) -> float:
-        """Advance the simulation."""
-        return self.sim.run(until=self.sim.now + for_s)
-
-    def total_frames_sent(self) -> int:
-        """Frames on the air across the network."""
-        return sum(n.radio.frames_sent for n in self._nodes.values())
-
-    def total_airtime_s(self) -> float:
-        """Cumulative transmit airtime (seconds)."""
-        return sum(n.radio.tx_airtime_s for n in self._nodes.values())

@@ -22,13 +22,12 @@ from repro.baselines.flooding import FloodingNetwork
 from repro.baselines.idealrouter import build_oracle_network
 from repro.baselines.star import StarNetwork
 from repro.metrics.collect import FlowRecorder, OverheadSummary, attach_recorder, overhead_summary
-from repro.net.api import MeshNetwork
+from repro.net.api import MeshNetwork, Network
 from repro.net.config import MesherConfig
 from repro.obs.instrument import instrument_flows, instrument_network
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.store import EventStore, StoreRecorder
-from repro.phy.modulation import LoRaParams
 from repro.phy.pathloss import PathLossModel, Position
 from repro.sim.rng import RngRegistry
 from repro.verify.faults import FaultInjector, FaultPlan
@@ -70,7 +69,7 @@ class RunResult:
 
     protocol: Protocol
     recorder: FlowRecorder
-    network: object  # MeshNetwork | FloodingNetwork | StarNetwork
+    network: Optional[Network]
     duration_s: float
     convergence_time_s: Optional[float]
     overhead: OverheadSummary
@@ -116,7 +115,6 @@ def run_protocol(
     duration_s: float,
     seed: int = 0,
     config: Optional[MesherConfig] = None,
-    params: Optional[LoRaParams] = None,
     pathloss: Optional[PathLossModel] = None,
     converge_first: bool = True,
     converge_timeout_s: float = 3600.0,
@@ -137,8 +135,9 @@ def run_protocol(
     For MESH the network first runs until the routing tables converge
     (``converge_first``), then traffic flows for ``duration_s``, then a
     ``drain_s`` tail lets in-flight packets land.  FLOODING/STAR have no
-    routing state and skip the warm-up; ORACLE starts converged by
-    construction.
+    routing state and AODV discovers routes on demand, so all three skip
+    the warm-up; ORACLE starts converged by construction.  Every stack
+    runs on ``config``'s radio parameters and region.
 
     ``sample_period_s`` turns on the observability sampler: the run's
     health (coverage, frames, airtime, queue pressure, PDR, ...) is
@@ -191,13 +190,26 @@ def run_protocol(
     if store is not None and sample_period_s is None:
         sample_period_s = 60.0
     recorder = FlowRecorder()
+    net = _build_network(
+        protocol, positions, traffic, config=config, seed=seed, pathloss=pathloss,
+        star_gateway_index=star_gateway_index,
+    )
+    sampler: Optional[TimeSeriesSampler] = None
+    if sample_period_s is not None:
+        registry = instrument_network(MetricsRegistry(), net)
+        instrument_flows(registry, recorder)
+        sampler = TimeSeriesSampler(net.sim, registry, period_s=sample_period_s)
+        sampler.sample_now()  # t=0 baseline point
+    checker: Optional[InvariantChecker] = None
+    if verify:
+        checker = InvariantChecker(
+            net, audit_period_s=verify_audit_period_s, strict=verify_strict
+        ).attach()
+    if fault_plan is not None:
+        FaultInjector(net, fault_plan, seed=seed).arm()
     event_store: Optional[EventStore] = None
     store_recorder: Optional[StoreRecorder] = None
-
-    def _attach_store(net, sampler, checker=None) -> None:
-        nonlocal event_store, store_recorder
-        if store is None:
-            return
+    if store is not None:
         event_store = EventStore(store, mode="w")
         event_store.set_meta("protocol", protocol.value)
         event_store.set_meta("seed", seed)
@@ -205,96 +217,19 @@ def run_protocol(
         event_store.set_meta("duration_s", duration_s)
         store_recorder = StoreRecorder(event_store, net, sampler=sampler, checker=checker).attach()
 
-    def _attach_sampler(net) -> Optional[TimeSeriesSampler]:
-        if sample_period_s is None:
-            return None
-        registry = instrument_network(MetricsRegistry(), net)
-        instrument_flows(registry, recorder)
-        sampler = TimeSeriesSampler(net.sim, registry, period_s=sample_period_s)
-        sampler.sample_now()  # t=0 baseline point
-        return sampler
-
-    checker: Optional[InvariantChecker] = None
-    if protocol in (Protocol.MESH, Protocol.ORACLE):
-        if protocol is Protocol.MESH:
-            net = MeshNetwork.from_positions(
-                positions, config=config, seed=seed, pathloss=pathloss, trace_enabled=False
-            )
-        else:
-            net = build_oracle_network(positions, config=config, seed=seed, pathloss=pathloss)
-        sampler = _attach_sampler(net)
-        if verify:
-            checker = InvariantChecker(
-                net, audit_period_s=verify_audit_period_s, strict=verify_strict
-            ).attach()
-        if fault_plan is not None:
-            FaultInjector(net, fault_plan, seed=seed).arm()
-        _attach_store(net, sampler, checker)
-        convergence = None
-        if protocol is Protocol.MESH and converge_first:
-            convergence = net.run_until_converged(timeout_s=converge_timeout_s)
+    convergence: Optional[float] = None
+    if protocol is Protocol.MESH:
+        if converge_first:
+            convergence = net.run_until_converged(timeout_s=converge_timeout_s)  # type: ignore[attr-defined]
             if store_recorder is not None and convergence is not None:
                 store_recorder.mark("converged", convergence_s=convergence)
-        senders = _attach_mesh_traffic(net, traffic, recorder, seed)
-        net.run(for_s=duration_s)
-        for sender in senders:
-            sender.stop()
-        net.run(for_s=drain_s)
-        nodes = net.nodes
-        sim_now = net.sim.now
-    elif protocol is Protocol.FLOODING:
-        net = FloodingNetwork(positions, seed=seed, params=params, pathloss=pathloss)
-        sampler = _attach_sampler(net)
-        _attach_store(net, sampler)
-        convergence = 0.0
-        senders = _attach_flood_traffic(net, traffic, recorder, seed)
-        net.run(for_s=duration_s)
-        for sender in senders:
-            sender.stop()
-        net.run(for_s=drain_s)
-        nodes = net.nodes
-        sim_now = net.sim.now
-    elif protocol is Protocol.AODV:
-        net = AodvNetwork(positions, seed=seed, params=params, pathloss=pathloss)
-        sampler = _attach_sampler(net)
-        _attach_store(net, sampler)
-        convergence = 0.0  # reactive: no proactive convergence phase
-        senders = _attach_flood_traffic(net, traffic, recorder, seed)  # same send() shape
-        net.run(for_s=duration_s)
-        for sender in senders:
-            sender.stop()
-        net.run(for_s=drain_s)
-        nodes = net.nodes
-        sim_now = net.sim.now
-    elif protocol is Protocol.STAR:
-        # The gateway defaults to the most central placement position —
-        # the best case for the star — and must not source any flow.
-        gateway_index = (
-            star_gateway_index if star_gateway_index is not None else _central_index(positions)
-        )
-        used = {spec.src_index for spec in traffic} | {spec.dst_index for spec in traffic}
-        if gateway_index in used:
-            free = [i for i in range(len(positions)) if i not in used]
-            if not free:
-                raise ValueError("no placement position left for the star gateway")
-            gateway_index = min(
-                free, key=lambda i: _centrality_cost(positions, i)
-            )
-        net = StarNetwork(
-            positions, seed=seed, params=params, pathloss=pathloss, gateway_index=gateway_index
-        )
-        sampler = _attach_sampler(net)
-        _attach_store(net, sampler)
-        convergence = 0.0
-        senders = _attach_star_traffic(net, traffic, recorder, seed)
-        net.run(for_s=duration_s)
-        for sender in senders:
-            sender.stop()
-        net.run(for_s=drain_s)
-        nodes = [net.node(a) for a in net.addresses]
-        sim_now = net.sim.now
-    else:  # pragma: no cover
-        raise ValueError(f"unknown protocol {protocol}")
+    elif protocol is not Protocol.ORACLE:
+        convergence = 0.0  # no proactive routing state to build
+    senders = _attach_traffic(net, traffic, recorder, seed)
+    net.run(for_s=duration_s)
+    for sender in senders:
+        sender.stop()
+    net.run(for_s=drain_s)
 
     if sampler is not None:
         sampler.stop()
@@ -312,7 +247,7 @@ def run_protocol(
         network=net,
         duration_s=duration_s,
         convergence_time_s=convergence,
-        overhead=overhead_summary(nodes, recorder, now=sim_now),
+        overhead=overhead_summary(net.nodes, recorder, now=net.sim.now),
         sampler=sampler,
         checker=checker,
         store_path=Path(store) if store is not None else None,
@@ -395,6 +330,45 @@ def _run_sharded_protocol(
 
 
 # ----------------------------------------------------------------------
+# Stack construction
+# ----------------------------------------------------------------------
+def _build_network(
+    protocol: Protocol,
+    positions: Sequence[Position],
+    traffic: Sequence[TrafficSpec],
+    *,
+    config: Optional[MesherConfig],
+    seed: int,
+    pathloss: Optional[PathLossModel],
+    star_gateway_index: Optional[int],
+) -> Network:
+    if protocol is Protocol.MESH:
+        return MeshNetwork.from_positions(
+            positions, config=config, seed=seed, pathloss=pathloss, trace_enabled=False
+        )
+    if protocol is Protocol.ORACLE:
+        return build_oracle_network(positions, config=config, seed=seed, pathloss=pathloss)
+    if protocol is Protocol.FLOODING:
+        return FloodingNetwork(positions, config=config, seed=seed, pathloss=pathloss)
+    if protocol is Protocol.AODV:
+        return AodvNetwork(positions, config=config, seed=seed, pathloss=pathloss)
+    # The star gateway defaults to the most central placement position —
+    # the best case for the star — and must not source any flow.
+    gateway_index = (
+        star_gateway_index if star_gateway_index is not None else _central_index(positions)
+    )
+    used = {spec.src_index for spec in traffic} | {spec.dst_index for spec in traffic}
+    if gateway_index in used:
+        free = [i for i in range(len(positions)) if i not in used]
+        if not free:
+            raise ValueError("no placement position left for the star gateway")
+        gateway_index = min(free, key=lambda i: _centrality_cost(positions, i))
+    return StarNetwork(
+        positions, config=config, seed=seed, pathloss=pathloss, gateway_index=gateway_index
+    )
+
+
+# ----------------------------------------------------------------------
 # Placement helpers
 # ----------------------------------------------------------------------
 def _centrality_cost(positions: Sequence[Position], index: int) -> float:
@@ -409,7 +383,7 @@ def _central_index(positions: Sequence[Position]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Traffic attachment per stack
+# Traffic attachment
 # ----------------------------------------------------------------------
 def _make_sender(sim, src_addr, dst_addr, send_fn, spec: TrafficSpec, recorder, rng):
     if spec.poisson:
@@ -435,54 +409,20 @@ def _make_sender(sim, src_addr, dst_addr, send_fn, spec: TrafficSpec, recorder, 
     )
 
 
-def _attach_mesh_traffic(net: MeshNetwork, traffic, recorder, seed) -> List:
+def _attach_traffic(net: Network, traffic, recorder, seed) -> List:
     rngs = RngRegistry(seed).fork("traffic")
     addresses = net.addresses
     for node in net.nodes:
         attach_recorder(recorder, node)
+    # Mesh nodes name their datagram send after the firmware's API.
+    send = "send_datagram" if isinstance(net, MeshNetwork) else "send"
     senders = []
     for i, spec in enumerate(traffic):
         src = addresses[spec.src_index]
         dst = addresses[spec.dst_index]
-        node = net.node(src)
+        send_fn = getattr(net.node(src), send)
         senders.append(
-            _make_sender(
-                net.sim, src, dst, node.send_datagram, spec, recorder, rngs.stream(f"flow{i}")
-            )
-        )
-    return senders
-
-
-def _attach_flood_traffic(net: FloodingNetwork, traffic, recorder, seed) -> List:
-    rngs = RngRegistry(seed).fork("traffic")
-    addresses = net.addresses
-    for node in net.nodes:
-        attach_recorder(recorder, node)
-    senders = []
-    for i, spec in enumerate(traffic):
-        src = addresses[spec.src_index]
-        dst = addresses[spec.dst_index]
-        node = net.node(src)
-        senders.append(
-            _make_sender(net.sim, src, dst, node.send, spec, recorder, rngs.stream(f"flow{i}"))
-        )
-    return senders
-
-
-def _attach_star_traffic(net: StarNetwork, traffic, recorder, seed) -> List:
-    rngs = RngRegistry(seed).fork("traffic")
-    addresses = net.addresses
-    for address in addresses:
-        attach_recorder(recorder, net.node(address))
-    senders = []
-    for i, spec in enumerate(traffic):
-        src = addresses[spec.src_index]
-        dst = addresses[spec.dst_index]
-        node = net.node(src)
-        if not hasattr(node, "send"):
-            raise ValueError("star traffic must originate at end nodes, not the gateway")
-        senders.append(
-            _make_sender(net.sim, src, dst, node.send, spec, recorder, rngs.stream(f"flow{i}"))
+            _make_sender(net.sim, src, dst, send_fn, spec, recorder, rngs.stream(f"flow{i}"))
         )
     return senders
 

@@ -669,24 +669,11 @@ class Medium:
             if node_id != sender_id and node_id in listeners
         ]
         overlapping = self._overlapping(tx)
-        # One batch matrix replaces len(overlapping) x len(resolve)
-        # scalar interferer-power evaluations.  In a small network the
-        # link-budget memo holds every (tx, rx) pair, making the scalar
-        # lookups cheaper than the numpy dispatch; in a large one the
-        # interferer x listener pair space overflows the memo and the
-        # matrix wins even at small widths.
-        rows = (
-            self._interference_rows(
-                overlapping, [listener.position for listener, _ in resolve]
-            )
-            if len(self._listeners) > 64 and len(overlapping) * len(resolve) >= 8
-            else itertools.repeat(None)
-        )
         stats = self._stats
         delivered = DropReason.DELIVERED._value_
         collision = DropReason.COLLISION._value_
-        for (listener, quality), row in zip(resolve, rows):
-            heard = self._resolve(tx, listener, quality, overlapping, row)
+        for listener, quality in resolve:
+            heard = self._resolve(tx, listener, quality, overlapping)
             if type(heard) is DropReason:
                 stats[heard._value_] += 1
                 continue
@@ -806,60 +793,12 @@ class Medium:
     # ------------------------------------------------------------------
     # Reception resolution
     # ------------------------------------------------------------------
-    def _interference_rows(
-        self,
-        overlapping: List[Transmission],
-        rx_positions: List[Position],
-    ) -> List[List[float]]:
-        """Interferer RSSI per (candidate listener, overlapping frame).
-
-        One vectorized call per completed transmission computes what the
-        scalar path recomputes per (listener, interferer) pair.  The batch
-        kernels share numpy ops and association order with the scalar
-        ``received_power_dbm``, so every row value is bit-identical —
-        :meth:`_survives_all_interference` can use them interchangeably.
-
-        Returns one row per listener position, in order: the RSSI of each
-        overlapping frame, by overlapping index.
-        """
-        # Interferers usually share one LoRaParams object; group by
-        # identity so heterogeneous networks still batch per group.
-        groups: Dict[int, Tuple[LoRaParams, List[int]]] = {}
-        for idx, other in enumerate(overlapping):
-            group = groups.get(id(other.params))
-            if group is None:
-                groups[id(other.params)] = (other.params, [idx])
-            else:
-                group[1].append(idx)
-        if len(groups) == 1:
-            # Homogeneous interferers (the overwhelmingly common case):
-            # one matrix, columns already in overlapping order.
-            (params, _idxs), = groups.values()
-            rssi = _batch.rssi_matrix(
-                self._link,
-                [other.position for other in overlapping],
-                rx_positions,
-                params,
-            )
-            return rssi.T.tolist()
-        width = len(overlapping)
-        rows = [[0.0] * width for _ in rx_positions]
-        for params, idxs in groups.values():
-            tx_positions = [overlapping[i].position for i in idxs]
-            rssi = _batch.rssi_matrix(self._link, tx_positions, rx_positions, params)
-            cols = rssi.T.tolist()  # one entry list per candidate
-            for row, col in zip(rows, cols):
-                for k, i in enumerate(idxs):
-                    row[i] = col[k]
-        return rows
-
     def _resolve(
         self,
         tx: Transmission,
         listener: MediumListener,
         quality: Optional[LinkQuality],
         overlapping: List[Transmission],
-        rssi_row: Optional[List[float]] = None,
     ) -> Union[ReceivedFrame, DropReason]:
         """The frame ``listener`` hears of ``tx``, or why it hears nothing.
 
@@ -887,7 +826,7 @@ class Medium:
         # A collision is still heard, CRC-failed: real radios raise an
         # RxDone with PayloadCrcError in this case, which the driver surfaces.
         crc_ok = not overlapping or self._survives_all_interference(
-            tx, listener, quality.rssi_dbm, overlapping, rssi_row
+            tx, listener, quality.rssi_dbm, overlapping
         )
         return ReceivedFrame(
             payload=tx.payload,
@@ -905,21 +844,15 @@ class Medium:
         listener: MediumListener,
         signal_dbm: float,
         overlapping: List[Transmission],
-        rssi_row: Optional[List[float]] = None,
     ) -> bool:
-        for idx, other in enumerate(overlapping):
+        for other in overlapping:
             if other.sender_id == listener.node_id:
                 # The listener's own transmission: handled by the
                 # half-duplex listening_throughout check; skip here.
                 continue
-            if rssi_row is not None:
-                # Prefetched batch row (see _interference_rows): the same
-                # value the scalar call below would produce.
-                interferer_dbm = rssi_row[idx]
-            else:
-                interferer_dbm = self._link.received_power_dbm(
-                    other.position, listener.position, other.params
-                )
+            interferer_dbm = self._link.received_power_dbm(
+                other.position, listener.position, other.params
+            )
             # LoRa demodulates below the thermal noise floor, so relevance
             # is relative to the *signal*: an interferer 30+ dB weaker can
             # never break the 6 dB same-SF capture or the 16 dB inter-SF

@@ -8,6 +8,9 @@ Two entry points:
   kernel, channel model, medium, and one started node per position.  This
   is what the examples, tests, and benchmarks use.
 
+Both build on :class:`Network`, the substrate every stack shares — the
+mesh and the baselines in :mod:`repro.baselines` alike.
+
 Quickstart::
 
     from repro.net.api import MeshNetwork
@@ -24,7 +27,7 @@ Quickstart::
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.medium.channel import LossInjector, Medium
 from repro.net.config import MesherConfig
@@ -56,25 +59,91 @@ class MeshNode(MesherNode):
     """
 
 
-class MeshNetwork:
-    """A complete simulated LoRa mesh deployment.
+class Network:
+    """The substrate of one simulated deployment, whatever its stack.
 
-    Prefer the :meth:`from_positions` constructor; the raw ``__init__``
-    is for callers that need to supply their own medium or kernel.
+    One kernel, one seeded RNG registry, and one medium over a link
+    budget (``pathloss`` defaults to the measurement-fit log-distance
+    model; ``pathloss_factory`` builds a time-varying one from the kernel
+    and registry).  Subclasses attach their nodes to ``_nodes``, keyed by
+    address in insertion order.
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        medium: Medium,
-        rngs: RngRegistry,
-        trace: TraceRecorder,
+        *,
+        seed: int = 0,
+        pathloss: Optional[PathLossModel] = None,
+        pathloss_factory: Optional[Callable[[Simulator, RngRegistry], PathLossModel]] = None,
+        loss_injector: Optional[LossInjector] = None,
     ) -> None:
-        self.sim = sim
-        self.medium = medium
-        self.rngs = rngs
-        self.trace = trace
-        self._nodes: Dict[int, MeshNode] = {}
+        if pathloss is not None and pathloss_factory is not None:
+            raise ValueError("pass either pathloss or pathloss_factory, not both")
+        self.sim = Simulator()
+        self.rngs = RngRegistry(seed)
+        if pathloss_factory is not None:
+            # Time-varying channels (block fading) need the kernel clock,
+            # which only exists now — hence the factory indirection.
+            model: PathLossModel = pathloss_factory(self.sim, self.rngs)
+        else:
+            model = pathloss if pathloss is not None else LogDistancePathLoss()
+        self.medium = Medium(self.sim, LinkBudget(model), loss_injector=loss_injector)
+        self._nodes: Dict[int, Any] = {}
+
+    @property
+    def addresses(self) -> List[int]:
+        """Node addresses in insertion order."""
+        return list(self._nodes)
+
+    @property
+    def nodes(self) -> List[Any]:
+        """All nodes in insertion order."""
+        return list(self._nodes.values())
+
+    def node(self, address: int) -> Any:
+        """The node with the given address (KeyError if unknown)."""
+        return self._nodes[address]
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __iter__(self):
+        return iter(self._nodes.values())
+
+    def run(self, *, until: Optional[float] = None, for_s: Optional[float] = None) -> float:
+        """Advance the simulation to ``until`` or by ``for_s`` seconds."""
+        if (until is None) == (for_s is None):
+            raise ValueError("pass exactly one of until= or for_s=")
+        horizon = until if until is not None else self.sim.now + float(for_s)  # type: ignore[arg-type]
+        return self.sim.run(until=horizon)
+
+    def total_frames_sent(self) -> int:
+        """Frames put on the air across the whole network."""
+        return sum(n.radio.frames_sent for n in self._nodes.values())
+
+    def total_bytes_sent(self) -> int:
+        """Bytes put on the air across the whole network."""
+        return sum(n.radio.bytes_sent for n in self._nodes.values())
+
+    def total_airtime_s(self) -> float:
+        """Cumulative transmit airtime across all nodes (seconds)."""
+        return sum(n.radio.tx_airtime_s for n in self._nodes.values())
+
+
+class MeshNetwork(Network):
+    """A complete simulated LoRa mesh deployment.
+
+    Prefer the :meth:`from_positions` constructor; the raw ``__init__``
+    takes :class:`Network`'s keywords and builds the substrate with no
+    nodes, for :meth:`add_node`.
+    """
+
+    #: What :meth:`add_node` builds.
+    node_class = MeshNode
+
+    def __init__(self, *, trace_enabled: bool = True, **substrate) -> None:
+        super().__init__(**substrate)
+        self.trace = TraceRecorder(enabled=trace_enabled)
 
     # ------------------------------------------------------------------
     # Construction
@@ -105,19 +174,13 @@ class MeshNetwork:
         """
         if not positions:
             raise ValueError("a network needs at least one node position")
-        sim = Simulator()
-        rngs = RngRegistry(seed)
-        trace = TraceRecorder(enabled=trace_enabled)
-        if pathloss is not None and pathloss_factory is not None:
-            raise ValueError("pass either pathloss or pathloss_factory, not both")
-        if pathloss_factory is not None:
-            # Time-varying channels (block fading) need the kernel clock,
-            # which only exists now — hence the factory indirection.
-            model: PathLossModel = pathloss_factory(sim, rngs)
-        else:
-            model = pathloss if pathloss is not None else LogDistancePathLoss()
-        medium = Medium(sim, LinkBudget(model), loss_injector=loss_injector)
-        net = cls(sim, medium, rngs, trace)
+        net = cls(
+            seed=seed,
+            pathloss=pathloss,
+            pathloss_factory=pathloss_factory,
+            loss_injector=loss_injector,
+            trace_enabled=trace_enabled,
+        )
         addrs = (
             list(addresses)
             if addresses is not None
@@ -145,7 +208,7 @@ class MeshNetwork:
         name: str = "",
     ) -> MeshNode:
         """Attach one more node (late joiners are a demo scenario)."""
-        node = MeshNode(
+        node = self.node_class(
             self.sim,
             self.medium,
             address,
@@ -159,42 +222,12 @@ class MeshNetwork:
         return node
 
     # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    @property
-    def addresses(self) -> List[int]:
-        """Node addresses in insertion order."""
-        return list(self._nodes)
-
-    @property
-    def nodes(self) -> List[MeshNode]:
-        """All nodes in insertion order."""
-        return list(self._nodes.values())
-
-    def node(self, address: int) -> MeshNode:
-        """The node with the given address (KeyError if unknown)."""
-        return self._nodes[address]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self):
-        return iter(self._nodes.values())
-
-    # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start every node that is not yet running."""
         for node in self._nodes.values():
             node.start()
-
-    def run(self, *, until: Optional[float] = None, for_s: Optional[float] = None) -> float:
-        """Advance the simulation to ``until`` or by ``for_s`` seconds."""
-        if (until is None) == (for_s is None):
-            raise ValueError("pass exactly one of until= or for_s=")
-        horizon = until if until is not None else self.sim.now + float(for_s)  # type: ignore[arg-type]
-        return self.sim.run(until=horizon)
 
     def run_until_converged(
         self,
@@ -264,18 +297,6 @@ class MeshNetwork:
                 if node.table.has_route(other.address):
                     routed += 1
         return routed / pairs
-
-    def total_frames_sent(self) -> int:
-        """Frames put on the air across the whole network."""
-        return sum(n.stats.frames_sent for n in self._nodes.values())
-
-    def total_bytes_sent(self) -> int:
-        """Bytes put on the air across the whole network."""
-        return sum(n.stats.bytes_sent for n in self._nodes.values())
-
-    def total_airtime_s(self) -> float:
-        """Cumulative transmit airtime across all nodes (seconds)."""
-        return sum(n.radio.tx_airtime_s for n in self._nodes.values())
 
     def describe(self) -> str:
         """Multi-line routing-table dump of the whole network (the demo's

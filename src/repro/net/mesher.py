@@ -7,10 +7,10 @@ the hello service, and the reliable transport, and wiring them together:
 * **RX path** — radio ``on_receive`` → CRC filter → decode → dispatch
   (ROUTING packets feed the table; via-packets are classified by the data
   plane into deliver / forward / overhear / no-route),
-* **TX path** — a single pump drains the send queue: random backoff
-  (listen-before-talk with CAD deferral), duty-cycle pacing against the
-  regional budget, then one frame on the air; the radio's tx-done re-arms
-  the pump,
+* **TX path** — a :class:`~repro.net.pump.TxPump` drains the send queue:
+  random backoff, duty-cycle pacing against the regional budget,
+  listen-before-talk with CAD deferral, then one frame on the air; the
+  radio's tx-done re-arms the pump,
 * **Application API** — :meth:`send_datagram`, :meth:`broadcast`,
   :meth:`send_reliable`, and an inbox of :class:`AppMessage` records with
   an optional ``on_message`` callback.
@@ -38,19 +38,24 @@ from repro.net.packets import (
     SyncPacket,
     XLDataPacket,
 )
+from repro.net.pump import TxPump, TxStats
 from repro.net.queues import PacketQueue, SendQueue
 from repro.net.reliable import CompletionFn, ReliableTransport
 from repro.net.routing_table import RouteEntry, RoutingTable, make_routing_table
-from repro.phy.airtime import time_on_air
 from repro.phy.pathloss import Position
-from repro.phy.regions import DutyCycleAccountant
 from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.trace.events import EventKind, TraceRecorder
 
 logger = logging.getLogger(__name__)
+
+
+def _encode(packet: Packet) -> bytes:
+    # Looked up on the module at call time, so a wrapper installed on
+    # serialization.encode after a node was built still sees its frames.
+    return serialization.encode(packet)
 
 
 @dataclass(frozen=True)
@@ -69,11 +74,9 @@ class AppMessage:
 
 
 @dataclass
-class NodeStats:
+class NodeStats(TxStats):
     """Per-node protocol counters (the trace holds the event detail)."""
 
-    frames_sent: int = 0
-    bytes_sent: int = 0
     data_originated: int = 0
     data_delivered: int = 0
     data_forwarded: int = 0
@@ -81,12 +84,6 @@ class NodeStats:
     overheard: int = 0
     crc_failures: int = 0
     decode_failures: int = 0
-    duty_deferrals: int = 0
-    cad_deferrals: int = 0
-    strict_duty_drops: int = 0
-    #: Frames dropped because their airtime exceeds the region's dwell
-    #: limit (US915: 400 ms), which no amount of waiting can satisfy.
-    dwell_drops: int = 0
     #: FORWARD decisions whose next hop was the frame's previous
     #: transmitter — transient two-node ping-pong during convergence.
     ping_pong_forwards: int = 0
@@ -115,14 +112,9 @@ class MesherNode:
         self.trace = trace
         rngs = rngs or RngRegistry(0)
         self._rng = rngs.stream(f"mesher.{address:#06x}")
-        # Scheduler labels built once: the pump re-arms on every frame.
-        self._pump_label = f"{self.name} pump"
-        self._duty_label = f"{self.name} duty wait"
-        self._cad_label = f"{self.name} cad wait"
 
         self.radio = Radio(sim, medium, address, position, self.config.lora)
         self.radio.on_receive = self._on_frame
-        self.radio.on_tx_done = self._on_tx_done
 
         self.table = make_routing_table(
             address,
@@ -132,7 +124,27 @@ class MesherNode:
             on_change=self._route_changed,
         )
         self.send_queue = SendQueue(self.config.send_queue_capacity)
-        self.duty = DutyCycleAccountant(self.config.region)
+        self.stats = NodeStats()
+        rng, slots, slot_s = self._rng, self.config.backoff_slots, self.config.backoff_slot_s
+
+        def backoff() -> float:
+            return rng.randint(0, slots) * slot_s if slots > 0 else 0.0
+
+        self.pump = TxPump(
+            sim,
+            self.radio,
+            self.send_queue,
+            self.stats,
+            region=self.config.region,
+            strict=self.config.strict_duty_cycle,
+            name=self.name,
+            backoff=backoff,
+            cad_retries=self.config.max_cad_retries,
+            cad_delay=lambda: backoff() + slot_s,
+            encode=_encode,
+            trace=trace,
+        )
+        self.duty = self.pump.duty
         self.hello = HelloService(
             sim,
             address,
@@ -179,9 +191,6 @@ class MesherNode:
         #: matters, so it is a single slot, not a tap point.
         self.on_reliable_consume: Optional[Callable[[int, bytes], bool]] = None
 
-        self.stats = NodeStats()
-        self._pump_handle: Optional[EventHandle] = None
-        self._cad_attempts = 0
         self._started = False
 
     # ==================================================================
@@ -203,9 +212,7 @@ class MesherNode:
             return
         self._started = False
         self.hello.stop()
-        if self._pump_handle is not None:
-            self._pump_handle.cancel()
-            self._pump_handle = None
+        self.pump.cancel()
         if not self.radio.transmitting:
             self.radio.sleep()
 
@@ -213,9 +220,7 @@ class MesherNode:
         """Abrupt node death (for the robustness experiments): the radio
         disappears from the medium mid-run, timers stop."""
         self.hello.stop()
-        if self._pump_handle is not None:
-            self._pump_handle.cancel()
-            self._pump_handle = None
+        self.pump.cancel()
         self._started = False
         if not self.radio.transmitting:
             self.radio.power_off()
@@ -297,100 +302,10 @@ class MesherNode:
     # ==================================================================
     def enqueue(self, packet: Packet) -> bool:
         """Queue a packet for transmission and kick the pump."""
-        ok = self.send_queue.push(packet)
+        ok = self.pump.submit(packet)
         if not ok:
             self._record(EventKind.QUEUE_DROP, packet=type(packet).__name__)
-        self._kick_pump()
         return ok
-
-    def _kick_pump(self) -> None:
-        if (
-            not self.send_queue
-            or self.radio.transmitting
-            or not self.radio.powered
-            or (self._pump_handle is not None and self._pump_handle.active)
-        ):
-            return
-        delay = self._backoff_delay()
-        self._pump_handle = self.sim.schedule(
-            delay, self._try_send, label=self._pump_label
-        )
-
-    def _backoff_delay(self) -> float:
-        slots = self.config.backoff_slots
-        if slots <= 0:
-            return 0.0
-        return self._rng.randint(0, slots) * self.config.backoff_slot_s
-
-    def _try_send(self) -> None:
-        self._pump_handle = None
-        if self.radio.transmitting or not self.radio.powered:
-            return
-        packet = self.send_queue.peek()
-        if packet is None:
-            return
-        frame = serialization.encode(packet)
-        airtime = time_on_air(len(frame), self.config.lora)
-        now = self.sim.now
-
-        # Duty-cycle pacing.
-        if not self.duty.can_transmit(now, airtime):
-            if airtime > self.duty.region.max_dwell_time_s:
-                # Never fits, whatever strict_duty_cycle says: drop it.
-                self.send_queue.pop()
-                self.stats.dwell_drops += 1
-                self._record(EventKind.QUEUE_DROP, packet=type(packet).__name__, reason="dwell")
-                self._kick_pump()
-                return
-            if self.config.strict_duty_cycle:
-                self.send_queue.pop()
-                self.stats.strict_duty_drops += 1
-                self._record(EventKind.QUEUE_DROP, packet=type(packet).__name__, reason="duty")
-                self._kick_pump()
-                return
-            self.stats.duty_deferrals += 1
-            resume_at = self.duty.next_allowed_time(now, airtime)
-            self._pump_handle = self.sim.schedule(
-                max(resume_at - now, 0.0) + self._backoff_delay(),
-                self._try_send,
-                label=self._duty_label,
-            )
-            return
-
-        # Listen before talk.
-        if self.radio.channel_activity() and self._cad_attempts < self.config.max_cad_retries:
-            self._cad_attempts += 1
-            self.stats.cad_deferrals += 1
-            self._pump_handle = self.sim.schedule(
-                self._backoff_delay() + self.config.backoff_slot_s,
-                self._try_send,
-                label=self._cad_label,
-            )
-            return
-        self._cad_attempts = 0
-
-        self.send_queue.pop()
-        self.duty.record(now, airtime)
-        self.radio.transmit(frame)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
-        trace = self.trace
-        if trace is not None:
-            if trace.enabled:
-                trace.record(
-                    now,
-                    self.address,
-                    EventKind.FRAME_SENT,
-                    packet=type(packet).__name__,
-                    bytes=len(frame),
-                    airtime_ms=round(airtime * 1000, 3),
-                )
-            else:
-                # Counter-only fast path, as in _on_frame.
-                trace.record(now, self.address, EventKind.FRAME_SENT)
-
-    def _on_tx_done(self) -> None:
-        self._kick_pump()
 
     # ==================================================================
     # RX path

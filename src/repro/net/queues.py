@@ -55,20 +55,6 @@ class PacketQueue(Generic[T]):
         """The head without removing it, or None."""
         return self._items[0] if self._items else None
 
-    def requeue_front(self, item: T) -> bool:
-        """Put a previously popped item back at the head (send deferred by
-        duty cycle or CAD).
-
-        Always succeeds: the popped slot is logically still owned by the
-        item, so deferral must be loss-free even when other producers
-        refilled the queue in between — the queue may transiently hold
-        ``capacity + 1`` items, and ``push`` keeps dropping until it
-        drains back under the cap.
-        """
-        self._items.appendleft(item)
-        self.dequeued_total -= 1
-        return True
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -130,22 +116,6 @@ class SendQueue:
         if self._data:
             return self._data[0]
         return None
-
-    def requeue_front(self, packet: Packet) -> bool:
-        """Return a deferred packet to the head of its lane.
-
-        Always succeeds — the popped slot is logically still owned by the
-        in-flight packet, so a duty-cycle or CAD deferral is loss-free
-        even when the queue refilled to capacity in between.  The queue
-        may transiently hold ``capacity + 1`` packets; ``push`` keeps
-        dropping new arrivals until it drains back under the cap.
-        """
-        if isinstance(packet, _PRIORITY_TYPES):
-            self._control.appendleft(packet)
-        else:
-            self._data.appendleft(packet)
-        self.dequeued_total -= 1
-        return True
 
     def __len__(self) -> int:
         return len(self._control) + len(self._data)

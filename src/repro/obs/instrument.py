@@ -7,9 +7,10 @@ read them on snapshot.  Health reports, the CLI, the sampler, and the
 exporters all consume the registry instead of reaching into node
 internals.
 
-Works for :class:`~repro.net.api.MeshNetwork` and, degraded gracefully
-via ``getattr``, for the baseline networks (flooding/star/AODV nodes
-carry a radio but not every protocol counter).
+Works for every :class:`~repro.net.api.Network`: the mesh and, degraded
+gracefully via ``getattr``, the baseline networks (flooding/star/AODV
+nodes carry a radio and the pump's counters but not every protocol
+counter).
 """
 
 from __future__ import annotations
@@ -137,18 +138,16 @@ def instrument_network(
             fn=net.coverage,
             help="Fraction of live ordered node pairs with a route (0..1)",
         )
-    if hasattr(net, "total_frames_sent"):
-        registry.counter(
-            "repro_network_frames_total",
-            fn=net.total_frames_sent,
-            help="Frames put on the air across the whole network",
-        )
-    if hasattr(net, "total_airtime_s"):
-        registry.counter(
-            "repro_network_airtime_seconds_total",
-            fn=net.total_airtime_s,
-            help="Cumulative transmit airtime across the network (s)",
-        )
+    registry.counter(
+        "repro_network_frames_total",
+        fn=net.total_frames_sent,
+        help="Frames put on the air across the whole network",
+    )
+    registry.counter(
+        "repro_network_airtime_seconds_total",
+        fn=net.total_airtime_s,
+        help="Cumulative transmit airtime across the network (s)",
+    )
     registry.gauge(
         "repro_network_nodes",
         fn=lambda n=net: len(n.nodes),

@@ -10,6 +10,8 @@ from repro.experiments.runner import (
     run_protocol,
 )
 from repro.net.config import MesherConfig
+from repro.phy.modulation import LoRaParams, SpreadingFactor
+from repro.phy.regions import US915
 from repro.topology.placement import line_positions
 
 FAST = MesherConfig(hello_period_s=30.0, route_timeout_s=120.0, purge_period_s=15.0)
@@ -107,3 +109,43 @@ class TestSampling:
             )
             assert result.timeseries is not None
             assert len(result.timeseries["samples"]) >= 2, protocol
+
+
+US915_SF10 = MesherConfig(lora=LoRaParams(spreading_factor=SpreadingFactor.SF10), region=US915)
+#: 120 B of payload: every baseline's data frame (128-130 B) airs for
+#: 1.23-1.27 s at SF10, beyond US915's 400 ms dwell limit.
+BIG_FLOW = [TrafficSpec(src_index=0, dst_index=2, period_s=60.0, payload_size=120)]
+
+
+def _us915_run(protocol):
+    return run_protocol(
+        protocol, line_positions(3), BIG_FLOW, duration_s=600.0, seed=1, config=US915_SF10
+    )
+
+
+class TestBaselinesFollowTheConfig:
+    @pytest.mark.parametrize("protocol", [Protocol.FLOODING, Protocol.STAR, Protocol.AODV])
+    def test_nodes_use_the_config_region_and_params(self, protocol):
+        result = _us915_run(protocol)
+        for node in result.network.nodes:
+            assert node.duty.region is US915
+            assert node.radio.params == US915_SF10.lora
+
+    @pytest.mark.parametrize("protocol", [Protocol.FLOODING, Protocol.STAR])
+    def test_over_dwell_data_is_dropped_not_aired(self, protocol):
+        result = _us915_run(protocol)
+        sent = result.recorder.total_sent()
+        assert sent > 0
+        assert sum(node.stats.dwell_drops for node in result.network.nodes) == sent
+        assert result.overhead.frames_sent == 0
+
+    def test_aodv_discovery_airs_while_data_is_dropped(self):
+        result = _us915_run(Protocol.AODV)
+        nodes = result.network.nodes
+        assert sum(node.stats.rreps_sent for node in nodes) > 0
+        assert sum(node.stats.dwell_drops for node in nodes) > 0
+        assert result.pdr == 0.0
+        assert result.overhead.frames_sent > 0
+        for node in nodes:
+            # Only 15-16 B RREQ/RREP frames (0.33 s at SF10) went out.
+            assert node.radio.bytes_sent <= 16 * node.radio.frames_sent

@@ -37,14 +37,6 @@ class TestPacketQueue:
         assert q.peek() == "x"
         assert len(q) == 1
 
-    def test_requeue_front(self):
-        q = PacketQueue(3)
-        q.push(1)
-        q.push(2)
-        item = q.pop()
-        q.requeue_front(item)
-        assert q.pop() == 1
-
     def test_full_flag(self):
         q = PacketQueue(1)
         assert not q.full
@@ -69,31 +61,11 @@ class TestPacketQueue:
         q.push(2)
         assert q.enqueued_total == 1
 
-    def test_requeue_front_is_loss_free_when_queue_refilled(self):
-        # Regression: a duty-cycle deferral pops the head, other producers
-        # refill the queue to capacity, and the deferred item comes back.
-        # The popped slot is still owned by the item — requeue must never
-        # drop it, even if the queue transiently exceeds capacity.
-        q = PacketQueue(2)
-        q.push("deferred")
-        q.push("b")
-        item = q.pop()
-        assert q.push("c")  # refills to capacity while the item is out
-        assert q.requeue_front(item)
-        assert len(q) == 3  # transient capacity + 1
-        assert q.dropped == 0
-        assert q.pop() == "deferred"
-        # New pushes keep dropping until the queue drains under the cap.
-        assert not q.push("d")
-        assert q.dropped == 1
-
     def test_conservation_counters(self):
         q = PacketQueue(2)
         q.push(1)
         q.push(2)
         q.pop()
-        assert q.enqueued_total == q.dequeued_total + len(q)
-        q.requeue_front(1)
         assert q.enqueued_total == q.dequeued_total + len(q)
 
 
@@ -128,39 +100,11 @@ class TestSendQueue:
         q.push(ack())
         assert q.peek() is q.pop()
 
-    def test_requeue_front_respects_lane(self):
-        q = SendQueue(4)
-        q.push(data(1))
-        first = q.pop()
-        q.push(ack())
-        q.requeue_front(first)
-        # Control still wins over the requeued data packet.
-        assert isinstance(q.pop(), AckPacket)
-        assert q.pop().payload == bytes([1])
-
-    def test_requeue_front_is_loss_free_when_queue_refilled(self):
-        # Regression: the pump pops the head, defers on the duty cycle,
-        # and meanwhile the hello service / reliable transport fill the
-        # queue to capacity.  The deferred frame must come back intact.
-        q = SendQueue(2)
-        q.push(data(1))
-        q.push(data(2))
-        deferred = q.pop()
-        assert q.push(data(3))  # refills to capacity during the deferral
-        assert q.requeue_front(deferred)
-        assert len(q) == 3  # transient capacity + 1
-        assert q.dropped == 0
-        assert q.pop().payload == bytes([1])
-        assert not q.push(data(4))  # still over cap until drained
-        assert q.dropped == 1
-
     def test_conservation_counters_with_requeue_and_drain(self):
         q = SendQueue(4)
         q.push(data(1))
         q.push(ack())
-        popped = q.pop()
-        assert q.enqueued_total == q.dequeued_total + len(q)
-        q.requeue_front(popped)
+        q.pop()
         assert q.enqueued_total == q.dequeued_total + len(q)
         q.drain()
         assert q.enqueued_total == q.dequeued_total + len(q)
