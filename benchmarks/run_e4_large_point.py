@@ -5,7 +5,8 @@ no visibility and no partial result.  This script runs the identical
 measurement (`measure_large` semantics: same placement, same
 LARGE_N_CONFIG, same convergence loop granularity) but logs a progress
 line per convergence check and writes the final row as JSON, so a long
-run can be watched — and its trajectory kept — from outside.
+run can be watched — and its trajectory kept — from outside.  The row
+includes the process's peak resident set (``peak_rss_mb``, MiB).
 
 Usage::
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -76,6 +78,8 @@ def main() -> int:
         "control_frames": net.total_frames_sent(),
         "control_bytes": net.total_bytes_sent(),
         "airtime_s": net.total_airtime_s(),
+        # Peak resident set of this process (Linux reports ru_maxrss in KiB).
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     print(json.dumps(result, indent=2), flush=True)
     if args.out is not None:

@@ -10,9 +10,8 @@ window and answers "may I transmit this frame now, and if not, when?".
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Deque, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,20 @@ class DutyCycleAccountant:
 
     Records every transmission ``(start, airtime)`` and answers whether a
     prospective frame fits the regional budget over the trailing window.
-    The record list is pruned lazily, so memory stays bounded at the
-    number of frames per window.
+    The window is two packed ``array('d')`` columns, starts and airtimes,
+    read from a head index: a record costs 16 bytes, where a tuple of two
+    floats costs about 100.  Pruning advances the head; the dead prefix
+    is dropped in one slice once it is at least half the columns, so
+    after every prune they hold at most twice the records still inside
+    the window.  The predefined regions' window is an hour, so a run
+    shorter than that keeps every frame it sent.
     """
 
     def __init__(self, region: Region) -> None:
         self.region = region
-        self._records: Deque[Tuple[float, float]] = deque()
+        self._starts = array("d")
+        self._airtimes = array("d")
+        self._head = 0  # first live record; the ones before it aged out
         self._total_airtime: float = 0.0
         self._window_airtime: float = 0.0
 
@@ -79,7 +85,8 @@ class DutyCycleAccountant:
                 f"dwell limit {self.region.max_dwell_time_s * 1000:.0f} ms"
             )
         self._prune(now)
-        self._records.append((now, airtime_s))
+        self._starts.append(now)
+        self._airtimes.append(airtime_s)
         self._total_airtime += airtime_s
         self._window_airtime += airtime_s
 
@@ -99,8 +106,8 @@ class DutyCycleAccountant:
     def next_allowed_time(self, now: float, airtime_s: float) -> float:
         """Earliest time at which a frame of ``airtime_s`` may start.
 
-        Returns ``now`` when it already fits.  Otherwise walks the record
-        queue forward until enough airtime has aged out of the window.
+        Returns ``now`` when it already fits.  Otherwise walks the live
+        records forward until enough airtime has aged out of the window.
         """
         if airtime_s > self.region.max_dwell_time_s:
             raise DutyCycleViolation(
@@ -113,17 +120,31 @@ class DutyCycleAccountant:
             return now
         needed = self._window_airtime + airtime_s - budget
         freed = 0.0
-        for start, duration in self._records:
-            freed += duration
+        airtimes = self._airtimes
+        for i in range(self._head, len(airtimes)):
+            freed += airtimes[i]
             if freed >= needed:
-                return start + self.region.window_s
-        # Should be unreachable: pruning keeps _window_airtime == sum(records).
+                return self._starts[i] + self.region.window_s
+        # Should be unreachable: pruning keeps _window_airtime == sum(live records).
         raise DutyCycleViolation("duty-cycle accounting is inconsistent")
 
     def _prune(self, now: float) -> None:
         horizon = now - self.region.window_s
-        while self._records and self._records[0][0] <= horizon:
-            _, duration = self._records.popleft()
-            self._window_airtime -= duration
-        if self._window_airtime < 0:  # float drift guard
-            self._window_airtime = 0.0
+        starts, head = self._starts, self._head
+        end = len(starts)
+        if head == end or not starts[head] <= horizon:
+            # Nothing ages out, and only a prune can take the sum below 0.
+            return
+        airtimes = self._airtimes
+        window_airtime = self._window_airtime
+        while head < end and starts[head] <= horizon:
+            window_airtime -= airtimes[head]
+            head += 1
+        if 2 * head >= end:
+            del starts[:head]
+            del airtimes[:head]
+            head = 0
+        self._head = head
+        if window_airtime < 0:  # float drift guard
+            window_airtime = 0.0
+        self._window_airtime = window_airtime

@@ -208,3 +208,87 @@ class TestBeaconSharing:
         assert merged
         built_entries = {id(packet.entries) for packet in built}
         assert all(id(entries) in built_entries for entries in merged)
+
+
+class TestBeaconSharingUnderEviction:
+    """The decode memo only has to hold the frames on the air: a beacon is
+    memoized when its sender encodes it and decoded by every listener when
+    the frame completes.  With a cap far below the run's distinct frames,
+    every listener still gets the sender's packet and the run's outcome
+    is the one it has with the default cap."""
+
+    def _run(self, monkeypatch, cap=None):
+        from repro.net import serialization
+        from repro.net.api import MeshNetwork
+        from repro.phy.modulation import Bandwidth, LoRaParams
+        from repro.phy.regions import UNRESTRICTED
+        from repro.topology.placement import grid_positions
+        from repro.workload.flows import FlowEngine, build_workload
+
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
+        if cap is not None:
+            monkeypatch.setattr(serialization, "_DECODE_CACHE_MAX", cap)
+        memoized = set()
+        held = []
+        decoded_types = set()
+        memoize, real_decode = serialization._memoize_decode, serialization._decode
+
+        def recording_memoize(buffer, packet):
+            memoize(buffer, packet)
+            memoized.add(buffer)
+            held.append(len(serialization._DECODE_CACHE))
+
+        def recording_decode(buffer):
+            packet = real_decode(buffer)
+            decoded_types.add(packet.type)
+            return packet
+
+        monkeypatch.setattr(serialization, "_memoize_decode", recording_memoize)
+        monkeypatch.setattr(serialization, "_decode", recording_decode)
+        config = MesherConfig(
+            lora=LoRaParams(bandwidth=Bandwidth.BW500),
+            region=UNRESTRICTED,
+            hello_period_s=30.0,
+            route_timeout_s=600.0,
+            purge_period_s=60.0,
+            stream_window=2,
+        )
+        positions = grid_positions(3, 3, spacing_m=60.0)
+        net = MeshNetwork.from_positions(positions, config=config, seed=7)
+        assert net.run_until_converged(timeout_s=1200.0) is not None
+        engine = FlowEngine(net)
+        engine.add_flows(
+            build_workload(
+                "mixed", net.addresses, 6, seed=7,
+                messages=3, payload_bytes=24, window_s=120.0, interval_s=20.0,
+            )
+        )
+        engine.start()
+        net.run(for_s=900.0)
+        routes = sorted(
+            (node.address, entry.address, entry.via, entry.metric, entry.role)
+            for node in net.nodes
+            for entry in node.table
+        )
+        deliveries = [
+            (flow_id, state.delivered, tuple(state.latencies_s))
+            for flow_id, state in sorted(engine.flows.items())
+        ]
+        fingerprint = (net.total_frames_sent(), net.total_bytes_sent(), routes, deliveries)
+        assert all(state.complete for state in engine.flows.values())
+        return fingerprint, memoized, held, decoded_types
+
+    # At a cap of 4, evicting the newest half instead of the oldest would
+    # drop beacons still on the air.
+    @pytest.mark.parametrize("cap", [4, 16])
+    def test_capped_memo_still_shares_every_beacon(self, monkeypatch, cap):
+        from repro.net.packets import PacketType
+
+        reference, *_ = self._run(monkeypatch)
+        monkeypatch.undo()
+        fingerprint, memoized, held, decoded_types = self._run(monkeypatch, cap=cap)
+        assert len(memoized) > cap  # the memo evicted during the run
+        assert max(held) <= cap
+        assert decoded_types  # data frames were decoded...
+        assert PacketType.ROUTING not in decoded_types  # ...but no beacon was
+        assert fingerprint == reference
