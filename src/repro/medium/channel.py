@@ -51,28 +51,21 @@ logger = logging.getLogger(__name__)
 
 
 class MediumListener(Protocol):
-    """What the medium needs to know about an attached radio."""
+    """What the medium needs to know about an attached radio.
+
+    A listener attaches with its RX window and tuning
+    (:meth:`Medium.attach`) and then reports every change to either
+    through :meth:`Medium.notify_rx_state`, until it detaches."""
 
     node_id: int
 
     @property
     def position(self) -> Position: ...
 
-    @property
-    def rx_params(self) -> Optional[LoRaParams]:
-        """Modulation the radio is currently listening with, or None."""
-        ...
-
-    def listening_throughout(self, start: float, end: float) -> bool:
-        """True if the radio was continuously in RX during [start, end]."""
-        ...
-
     def rx_params_throughout(self, start: float, end: float) -> Optional[LoRaParams]:
-        """Combined hot-path accessor: the modulation the radio listened
-        with continuously during [start, end], or None.  Must equal
-        ``rx_params if listening_throughout(start, end) else None``; the
-        medium classifies every listener of every frame, so it asks with
-        one call instead of two."""
+        """The modulation the radio listened with continuously during
+        [start, end], or None when it was out of RX at any point of it
+        (half-duplex: a transmitting radio hears nothing)."""
         ...
 
     def deliver(self, frame: ReceivedFrame) -> None:
@@ -160,6 +153,16 @@ class Medium:
     the :class:`~repro.radio.frames.ReceivedFrame` each listener heard
     (successful demodulations and CRC-corrupted frames only; frames below
     sensitivity are silent, as on real hardware).
+
+    The path-loss model picks the reception engine.  Over a model with a
+    registered batch kernel (:func:`repro.phy.batch.supports_batch`: loss
+    static in time and independent of evaluation order) the medium's work
+    is bounded by the neighbourhood: reachable sets from grid candidates
+    plus one batched RSSI row, aggregate accounting for every listener
+    outside them, interference pruning, range-gated carrier sense and
+    selective invalidation on moves.  Every other frame runs the full
+    per-listener scan, which is also the reference the determinism suite
+    compares the bounded engine with.
     """
 
     def __init__(
@@ -168,12 +171,11 @@ class Medium:
         link_budget: LinkBudget,
         *,
         loss_injector: Optional[LossInjector] = None,
-        reachability_cache: Optional[bool] = None,
-        use_batch_phy: Optional[bool] = None,
     ) -> None:
         self._sim = sim
         self._link = link_budget
-        self._loss_injector = loss_injector
+        #: Optional fault-injection hook (see repro.verify.faults).
+        self.loss_injector = loss_injector
         self._listeners: Dict[int, MediumListener] = {}
         self._active: Dict[int, Transmission] = {}
         #: Transmissions kept past their end for overlap checks against
@@ -187,28 +189,12 @@ class Medium:
         # pay a Python-level enum.__hash__ on every lookup.
         self._stats: Dict[str, int] = {reason._value_: 0 for reason in DropReason}
         self._transmissions_total = 0
-        #: Reception fast path: per (sender position, params) set of
-        #: listener ids whose link clears the demodulation floor, so
-        #: frame resolution runs full PHY math only on plausible
-        #: receivers.  Invalidated on attach/detach/movement;
-        #: ``None`` when the pathloss model rules the cache out
-        #: (time-varying loss or order-sensitive shadowing draws).
-        if reachability_cache is None:
-            reachability_cache = link_budget.supports_reachability_cache
-        self.use_reachability: bool = reachability_cache
-        #: Vectorized batch PHY + spatial-grid engine: reachable sets are
-        #: built from an O(cell-neighborhood) candidate lookup plus one
-        #: batched RSSI row instead of an O(N) scalar scan, frame
-        #: completion accounts for culled listeners in aggregate instead
-        #: of replaying per-listener checks, and the overlap set and
-        #: carrier sense skip frames beyond their range bounds.
-        #: Outcome-invisible (the determinism suite asserts
-        #: byte-identical traces either way); auto-disabled for
-        #: time-varying / order-sensitive channels, exactly like the
-        #: reachability flag.
-        if use_batch_phy is None:
-            use_batch_phy = reachability_cache and _batch.supports_batch(link_budget)
-        self.use_batch_phy: bool = use_batch_phy
+        #: Whether the model bounds reception by the neighbourhood (see
+        #: the class docstring); fixed for the medium's lifetime.
+        self._bounded: bool = _batch.supports_batch(link_budget)
+        #: Per (sender position, id(params)): the listeners whose link
+        #: clears the demodulation floor.  Bounded models only; cleared on
+        #: attach/detach, selectively on moves.
         self._reachable_cache: Dict[tuple, _ReachableEntry] = {}
         self._reachable_params: Dict[int, LoRaParams] = {}
         #: id(params) -> (params, conservative max communication range in
@@ -225,16 +211,15 @@ class Medium:
         #: The link budget's generation the caches above were built at.
         self._link_generation = link_budget.generation
         #: Spatial hash grid over listener positions; built lazily on the
-        #: first batch reachable-set query, then maintained incrementally
-        #: on attach/detach/move.
+        #: first reachable-set query, then maintained incrementally on
+        #: attach/detach/move.
         self._grid: Optional[SpatialGrid] = None
-        #: Attachment sequence numbers: batch candidate lists are sorted
-        #: by these so delivery order matches the full-scan loop.
+        #: Attachment sequence numbers: candidate lists are sorted by
+        #: these so delivery order matches the full-scan loop.
         self._attach_seq: Dict[int, int] = {}
         self._attach_counter = itertools.count()
-        # --- aggregate RX-state mirror (fed by register_state_reporter /
-        # notify_rx_state from state-reporting radios) -----------------
-        self._reporting: Set[int] = set()
+        # --- RX-state mirror of every attached listener (fed by attach /
+        # notify_rx_state), read by the aggregate accounting ------------
         self._rx_since: Dict[int, Optional[float]] = {}
         self._not_in_rx: Set[int] = set()
         self._rx_entries: Deque[Tuple[float, int]] = deque()
@@ -248,17 +233,15 @@ class Medium:
         #: Optional sniffer hook: called once per completed transmission
         #: with the per-listener outcomes; its one consumer is
         #: repro.trace.capture.AirCapture (tap it with
-        #: repro.sim.taps.tap).  Tapping it disables the aggregate
-        #: accounting fast path — per-listener outcomes require the
-        #: full resolution loop.
+        #: repro.sim.taps.tap).  Tapping it sends every frame through the
+        #: full per-listener scan, which alone has those outcomes.
         self.on_transmission: Optional[
             Callable[[Transmission, Dict[int, DropReason]], None]
         ] = None
         #: Optional *lightweight* sniffer: called once per completed
-        #: transmission with the transmission only (no outcomes), from
-        #: both the aggregate and the per-listener completion paths, so
-        #: attaching it keeps the fast path.  The event store records
-        #: every frame through it.
+        #: transmission with the transmission only (no outcomes), whichever
+        #: engine resolves it, so attaching it keeps the aggregate path.
+        #: The event store records every frame through it.
         self.on_frame: Optional[Callable[[Transmission], None]] = None
         #: Optional hook fired the instant a *local* frame goes on the
         #: air (from :meth:`begin_transmission`, not from
@@ -274,66 +257,63 @@ class Medium:
         self._extern_params: Dict[LoRaParams, LoRaParams] = {}
 
     # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    @property
-    def loss_injector(self) -> Optional[LossInjector]:
-        """The installed loss injector, or None (see repro.verify.faults)."""
-        return self._loss_injector
-
-    @loss_injector.setter
-    def loss_injector(self, injector: Optional[LossInjector]) -> None:
-        self._loss_injector = injector
-
-    # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(self, listener: MediumListener) -> None:
-        """Register a radio; its node_id must be unique on this medium."""
-        if listener.node_id in self._listeners:
-            raise ValueError(f"node id {listener.node_id} already attached")
-        self._listeners[listener.node_id] = listener
-        self._attach_seq[listener.node_id] = next(self._attach_counter)
+    def attach(
+        self,
+        listener: MediumListener,
+        rx_since: Optional[float],
+        params: Optional[LoRaParams],
+    ) -> None:
+        """Register a radio with its current RX window and tuning (as
+        :meth:`notify_rx_state` takes them); its node_id must be unique
+        on this medium."""
+        node_id = listener.node_id
+        if node_id in self._listeners:
+            raise ValueError(f"node id {node_id} already attached")
+        self._listeners[node_id] = listener
+        self._attach_seq[node_id] = next(self._attach_counter)
         if self._grid is not None:
-            self._grid.insert(listener.node_id, listener.position)
+            self._grid.insert(node_id, listener.position)
+        self._set_rx_state(node_id, rx_since, params)
         self._invalidate_topology()
 
     def detach(self, node_id: int) -> None:
         """Remove a radio (e.g. simulated node failure)."""
-        self._listeners.pop(node_id, None)
+        if self._listeners.pop(node_id, None) is None:
+            return
         self._attach_seq.pop(node_id, None)
         if self._grid is not None:
             self._grid.remove(node_id)
-        if node_id in self._reporting:
-            self._set_rx_state(node_id, None, None)
-            self._reporting.discard(node_id)
-            self._rx_since.pop(node_id, None)
-            self._not_in_rx.discard(node_id)
+        self._set_rx_state(node_id, None, None)
+        del self._rx_since[node_id]
+        self._not_in_rx.discard(node_id)
         self._invalidate_topology()
 
     def notify_moved(self, node_id: int) -> None:
         """Mobility hook: a radio's position changed.
 
-        With the spatial index on, the grid bucket is updated in place and
-        only reachable-cache entries the move can affect are dropped: those
+        On a bounded model the grid bucket is updated in place and only
+        reachable-cache entries the move can affect are dropped: those
         whose candidate set contains the moved node, or whose sender
         position is within max communication range of the node's *new*
         position (it may now hear senders it previously could not).  The
         link budget's memo is position-keyed and size-bounded, so stale
         old-position entries are harmless and it is left alone.
 
-        Without the index (scalar path), falls back to the wholesale
-        clear-everything behaviour.
+        Otherwise the medium keeps no reachable sets, and the move only
+        drops the link memo, so it does not fill with stale positions.
         """
-        listener = self._listeners.get(node_id)
-        if self._grid is not None and listener is not None:
-            self._grid.move(node_id, listener.position)
-        if self.use_batch_phy and listener is not None:
-            if self._reachable_cache:
-                self._invalidate_moved(node_id, listener.position)
+        if not self._bounded:
+            self._link.invalidate()
             return
-        self._link.invalidate()
-        self._sync_link()
+        listener = self._listeners.get(node_id)
+        if listener is None:
+            return
+        if self._grid is not None:
+            self._grid.move(node_id, listener.position)
+        if self._reachable_cache:
+            self._invalidate_moved(node_id, listener.position)
 
     def _invalidate_moved(self, node_id: int, new_position: Position) -> None:
         """Drop only the reachable-cache entries a single move can affect."""
@@ -344,12 +324,9 @@ class Medium:
                 dead.append(key)
                 continue
             pos, params_id = key
-            range_entry = self._max_range.get(params_id)
-            rng = range_entry[1] if range_entry is not None else None
-            if rng is None:
-                # Unbounded (or unknown) range: conservatively drop.
-                dead.append(key)
-                continue
+            # Every entry's params has a bounded range: _reachable_entry
+            # builds none otherwise, and _sync_link drops both together.
+            rng = self._max_range[params_id][1]
             if hypot(pos[0] - new_position[0], pos[1] - new_position[1]) <= rng:
                 dead.append(key)
         for key in dead:
@@ -373,45 +350,24 @@ class Medium:
         self._reachable_params.clear()
 
     # ------------------------------------------------------------------
-    # RX-state mirror (aggregate accounting fast path)
+    # RX-state mirror (aggregate accounting)
     # ------------------------------------------------------------------
-    def register_state_reporter(
-        self,
-        node_id: int,
-        rx_since: Optional[float],
-        params: Optional[LoRaParams],
-    ) -> None:
-        """Opt a listener into RX-state mirroring.
-
-        A reporting radio calls :meth:`notify_rx_state` on every state or
-        tuning change; once *every* attached listener reports (and the
-        whole network shares one (SF, BW, freq)), frame completion can
-        account for culled listeners in aggregate instead of replaying
-        per-listener checks.  Radios that never report simply keep the
-        replay path — the mirror is purely an optimisation.
-        """
-        self._reporting.add(node_id)
-        self._rx_since[node_id] = None
-        self._not_in_rx.add(node_id)
-        self._set_rx_state(node_id, rx_since, params)
-
     def notify_rx_state(
         self,
         node_id: int,
         rx_since: Optional[float],
         params: Optional[LoRaParams],
     ) -> None:
-        """Mirror a reporting radio's RX window and tuning.
+        """Mirror an attached radio's RX window and tuning.
 
         ``rx_since`` is the simulated time the radio's current continuous
         receive window began, or None when it is not receiving (TX, sleep,
         standby, or powered off) — exactly the state its
-        ``rx_params_throughout`` answers from.  No-op for radios that
-        never registered.
+        ``rx_params_throughout`` answers from.  A radio calls this on
+        every state or tuning change; the medium ignores a detached one.
         """
-        if node_id not in self._reporting:
-            return
-        self._set_rx_state(node_id, rx_since, params)
+        if node_id in self._listeners:
+            self._set_rx_state(node_id, rx_since, params)
 
     def _set_rx_state(
         self,
@@ -450,11 +406,6 @@ class Medium:
             self._rx_since[node_id] = rx_since
             self._not_in_rx.discard(node_id)
             self._rx_entries.append((rx_since, node_id))
-
-    @property
-    def listener_ids(self) -> Tuple[int, ...]:
-        """Node ids of all attached radios, in attachment order."""
-        return tuple(self._listeners)
 
     @property
     def link_budget(self) -> LinkBudget:
@@ -536,7 +487,7 @@ class Medium:
         """Conservative maximum communication range for ``params`` in
         metres, or None when the path-loss model cannot bound it.
 
-        Public alias of the internal bound the batch engine uses for
+        Public alias of the internal bound the bounded engine uses for
         grid candidate queries; the sharded runner partitions space with
         the same radius so its strips align with what the medium can
         actually hear."""
@@ -554,21 +505,16 @@ class Medium:
             self.on_frame(tx)
         if self._rx_entries:
             self._prune_rx_entries(tx.start)
-        entry = self._reachable_entry(tx) if self.use_reachability else None
-        if (
-            entry is not None
-            and self.use_batch_phy
-            and self.on_transmission is None
-            and len(self._reporting) == len(self._listeners)
-            and len(self._compat_counts) == 1
-        ):
-            # Aggregate fast path: every listener mirrors its RX state into
-            # the medium and the whole network is tuned to one (SF, BW,
-            # freq), so culled listeners are accounted in O(candidates +
-            # currently-not-receiving) instead of an O(N) replay loop.
-            # Requires no sniffer (which needs per-listener outcomes).
-            self._complete_aggregate(tx, entry)
-            return
+        if self._bounded and self.on_transmission is None and len(self._compat_counts) == 1:
+            # Aggregate path: the whole network is tuned to one (SF, BW,
+            # freq), so listeners outside the reachable set are accounted
+            # in O(candidates + currently-not-receiving) from the RX
+            # mirror.  A sniffer needs per-listener outcomes, which only
+            # the scan below produces.
+            entry = self._reachable_entry(tx)
+            if entry is not None:
+                self._complete_aggregate(tx, entry)
+                return
         listeners = self._listener_snapshot
         if listeners is None:
             listeners = self._listener_snapshot = tuple(self._listeners.values())
@@ -577,40 +523,14 @@ class Medium:
         overlapping = self._overlapping(tx)
         stats = self._stats
         outcomes: Dict[int, DropReason] = {}
-        sender_id, tx_params, tx_start, tx_end = tx.sender_id, tx.params, tx.start, tx.end
-        not_listening = DropReason.NOT_LISTENING
-        wrong_params = DropReason.WRONG_PARAMS
-        below_sensitivity = DropReason.BELOW_SENSITIVITY
+        sender_id = tx.sender_id
         delivered = DropReason.DELIVERED
         collision = DropReason.COLLISION
         for listener in listeners:
             node_id = listener.node_id
             if node_id == sender_id:
                 continue
-            quality = None
-            if entry is not None:
-                quality = entry.get(node_id)
-                if quality is None:
-                    # Culled listener: the link budget says the frame
-                    # cannot clear sensitivity here, so skip the PHY math
-                    # entirely — but keep the outcome histogram
-                    # byte-identical to the slow path by replaying its
-                    # (cheap) early checks in the same order.  (The
-                    # identity test is a fast path for the common
-                    # whole-network-shares-one-params-object case.)
-                    rx_params = listener.rx_params_throughout(tx_start, tx_end)
-                    if rx_params is None:
-                        reason = not_listening
-                    elif rx_params is not tx_params and not _params_compatible(
-                        tx_params, rx_params
-                    ):
-                        reason = wrong_params
-                    else:
-                        reason = below_sensitivity
-                    stats[reason._value_] += 1
-                    outcomes[node_id] = reason
-                    continue
-            heard = self._resolve(tx, listener, quality, overlapping)
+            heard = self._resolve(tx, listener, None, overlapping)
             if type(heard) is DropReason:
                 stats[heard._value_] += 1
                 outcomes[node_id] = heard
@@ -637,7 +557,7 @@ class Medium:
           (or all WRONG_PARAMS when the frame itself uses an alien params,
           e.g. a sniffer injecting on another channel).
 
-        The histogram produced is equal to the replay loop's by
+        The histogram produced is equal to the full scan's by
         construction; the determinism suite asserts it.
         """
         listeners = self._listeners
@@ -703,38 +623,59 @@ class Medium:
         while entries and entries[0][0] <= horizon:
             entries.popleft()
 
-    def _reachable_entry(self, tx: Transmission) -> _ReachableEntry:
+    def _reachable_entry(self, tx: Transmission) -> Optional[_ReachableEntry]:
         """Listener ids whose link from ``tx``'s origin clears sensitivity,
-        each mapped to that link's quality, in attachment order.
+        each mapped to that link's quality, in attachment order; None when
+        the model cannot bound the range of ``tx.params``.
+
+        Built from the grid candidates within :meth:`_max_range_for` and
+        one batched RSSI row.  That row is bit-identical to the scalar
+        ``LinkBudget.evaluate`` (same op order through numpy), and the SNR
+        and threshold below are the scalar rule's own float ops, so every
+        kept ``LinkQuality`` — and therefore every downstream outcome —
+        matches the full scan exactly; the grid only narrows candidates.
 
         Cached per (sender position, params); attach/detach clears the
-        cache and moves invalidate selectively (batch path) or wholesale
-        (scalar path).  Keying by ``id(params)`` is safe because the
-        params object is pinned in ``_reachable_params`` for the cache
-        entry's lifetime.
+        cache and moves invalidate selectively.  Keying by ``id(params)``
+        is safe because the params object is pinned in
+        ``_reachable_params`` for the cache entry's lifetime.
         """
         key = (tx.position, id(tx.params))
         cached = self._reachable_cache.get(key)
-        if cached is None:
-            if len(self._reachable_cache) >= _REACHABLE_CACHE_MAX:
-                self._reachable_cache.clear()
-                self._reachable_params.clear()
-            self._reachable_params[id(tx.params)] = tx.params
-            position, params = tx.position, tx.params
-            if self.use_batch_phy:
-                cached = self._reachable_batch(position, params)
-            if cached is None:
-                link = self._link
-                # The sender itself stays in the set: the key is
-                # positional, so a co-located node's transmissions may
-                # legitimately reuse this entry with a different sender id.
-                cached = {}
-                for node_id, listener in self._listeners.items():
-                    quality = link.evaluate(position, listener.position, params)
-                    if quality.above_sensitivity:
-                        cached[node_id] = quality
-            self._reachable_cache[key] = cached
-        return cached
+        if cached is not None:
+            return cached
+        position, params = tx.position, tx.params
+        rng_m = self._max_range_for(params)
+        if rng_m is None:
+            return None
+        if len(self._reachable_cache) >= _REACHABLE_CACHE_MAX:
+            self._reachable_cache.clear()
+            self._reachable_params.clear()
+        self._reachable_params[id(params)] = params
+        # The sender itself stays in the set: the key is positional, so a
+        # co-located node's transmissions may legitimately reuse this
+        # entry with a different sender id.
+        reachable: _ReachableEntry = {}
+        self._reachable_cache[key] = reachable
+        candidates = self._ensure_grid(rng_m).near(position, rng_m)
+        if not candidates:
+            return reachable
+        # Attachment order: the scan iterates listeners in attachment
+        # order, and delivery order is observable (trace ids, queue
+        # order), so the cached entry must match it.
+        candidates.sort(key=self._attach_seq.__getitem__)
+        listeners = self._listeners
+        rx_positions = [listeners[node_id].position for node_id in candidates]
+        rssi = _batch.rssi_matrix(self._link, [position], rx_positions, params)[0]
+        noise = noise_floor_dbm(params.bandwidth)
+        floor = snr_floor_db(params.spreading_factor)
+        for node_id, rssi_dbm in zip(candidates, rssi.tolist()):
+            snr = rssi_dbm - noise
+            if snr >= floor:
+                reachable[node_id] = LinkQuality(
+                    rssi_dbm=rssi_dbm, snr_db=snr, above_sensitivity=True
+                )
+        return reachable
 
     def _max_range_for(self, params: LoRaParams) -> Optional[float]:
         entry = self._max_range.get(id(params))
@@ -752,44 +693,6 @@ class Medium:
                 grid.insert(node_id, listener.position)
         return grid
 
-    def _reachable_batch(
-        self, position: Position, params: LoRaParams
-    ) -> Optional[_ReachableEntry]:
-        """Grid-candidate + batched-RSSI reachable set, or None when the
-        model cannot bound its range (caller falls back to the full scan).
-
-        The batch RSSI row is bit-identical to the scalar
-        ``LinkBudget.evaluate`` (same op order through numpy), and the SNR
-        and threshold below are the scalar rule's own float ops, so every
-        kept ``LinkQuality`` — and therefore every downstream outcome —
-        matches the scalar path exactly; the grid only narrows
-        *candidates*.
-        """
-        rng_m = self._max_range_for(params)
-        if rng_m is None:
-            return None
-        grid = self._ensure_grid(rng_m)
-        candidates = grid.near(position, rng_m)
-        reachable: _ReachableEntry = {}
-        if not candidates:
-            return reachable
-        # Attachment order: the resolution loop iterates listeners in
-        # attachment order, and delivery order is observable (trace ids,
-        # queue order), so the cached entry must match the full scan.
-        candidates.sort(key=self._attach_seq.__getitem__)
-        listeners = self._listeners
-        rx_positions = [listeners[node_id].position for node_id in candidates]
-        rssi = _batch.rssi_matrix(self._link, [position], rx_positions, params)[0]
-        noise = noise_floor_dbm(params.bandwidth)
-        floor = snr_floor_db(params.spreading_factor)
-        for node_id, rssi_dbm in zip(candidates, rssi.tolist()):
-            snr = rssi_dbm - noise
-            if snr >= floor:
-                reachable[node_id] = LinkQuality(
-                    rssi_dbm=rssi_dbm, snr_db=snr, above_sensitivity=True
-                )
-        return reachable
-
     # ------------------------------------------------------------------
     # Reception resolution
     # ------------------------------------------------------------------
@@ -802,12 +705,12 @@ class Medium:
     ) -> Union[ReceivedFrame, DropReason]:
         """The frame ``listener`` hears of ``tx``, or why it hears nothing.
 
-        ``quality`` is the link's quality from the reachable entry, or
-        None to evaluate it here — after the listening checks, so an
-        order-sensitive channel draws exactly the links the full scan
-        draws.  A heard frame is the object the protocol sees:
-        ``received_at`` is ``tx.end``, the instant the completion event
-        fires.
+        ``quality`` is the link's quality from the reachable entry
+        (aggregate path), or None to evaluate it here (the scan) — after
+        the listening checks, so an order-sensitive channel draws exactly
+        the links its realisation is defined by.  A heard frame is the
+        object the protocol sees: ``received_at`` is ``tx.end``, the
+        instant the completion event fires.
         """
         rx_params = listener.rx_params_throughout(tx.start, tx.end)
         if rx_params is None:
@@ -820,7 +723,7 @@ class Medium:
         if not quality.above_sensitivity:
             return DropReason.BELOW_SENSITIVITY
 
-        if self._loss_injector is not None and self._loss_injector(tx, listener.node_id):
+        if self.loss_injector is not None and self.loss_injector(tx, listener.node_id):
             return DropReason.INJECTED_LOSS
 
         # A collision is still heard, CRC-failed: real radios raise an
@@ -848,7 +751,7 @@ class Medium:
         for other in overlapping:
             if other.sender_id == listener.node_id:
                 # The listener's own transmission: handled by the
-                # half-duplex listening_throughout check; skip here.
+                # half-duplex rx_params_throughout check; skip here.
                 continue
             interferer_dbm = self._link.received_power_dbm(
                 other.position, listener.position, other.params
@@ -872,15 +775,15 @@ class Medium:
         """Other transmissions overlapping ``tx`` on its channel that can
         corrupt it somewhere it is heard.
 
-        With the batch engine on, a frame whose sender lies beyond
+        On a bounded model, a frame whose sender lies beyond
         :meth:`_interference_cutoff` of ``tx``'s sender passes
         ``survives_interference`` at every listener that can demodulate
-        ``tx``, so it is left out.  Without the batch engine, or without
-        a range bound, every overlapping frame stays: that full set is the
-        reference the pruned one must match outcome for outcome.
+        ``tx``, so it is left out.  Otherwise, or without a range bound,
+        every overlapping frame stays: that full set is the reference the
+        pruned one must match outcome for outcome.
         """
         out = []
-        prune = self.use_batch_phy
+        prune = self._bounded
         params = tx.params
         # The frames of one network usually share one params object, so
         # its cutoff is looked up once per frame, not once per pair.
@@ -967,13 +870,13 @@ class Medium:
         cannot CAD-detect its own transmission (it is not receiving while
         it transmits).
 
-        With the batch engine on, a frame whose sender lies beyond its
+        On a bounded model, a frame whose sender lies beyond its
         ``max_range_m`` from ``position`` is skipped before any link
         evaluation: no link that long clears sensitivity.
         """
         if self._link.generation != self._link_generation:
             self._sync_link()
-        prune = self.use_batch_phy
+        prune = self._bounded
         x, y = position
         for tx in self._active.values():
             if tx.sender_id == exclude_sender:

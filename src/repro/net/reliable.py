@@ -167,6 +167,9 @@ class ReliableTransport:
     DEDUP_WINDOW_S = 600.0
     #: Missing fragments reported per receiver gap timeout.
     MAX_LOSTS_PER_GAP = 4
+    #: Times a receiver reopens a stream it gave up on when a re-sent SYNC
+    #: shows the sender is still there (see handle_sync).
+    MAX_REOPENS = 1
     #: Floor for the adaptive RTO: even a one-hop SF7 exchange with a
     #: tiny measured RTT must leave room for CSMA backoff and forwarding.
     MIN_RTO_S = 1.0
@@ -201,6 +204,9 @@ class ReliableTransport:
         #: fragments).  Lets the receiver re-ACK duplicates after its ACK
         #: was lost instead of treating retransmissions as a new stream.
         self._completed_inbound: Dict[Tuple[int, int], Tuple[float, int]] = {}
+        #: Inbound streams this receiver gave up on: (src, seq) -> (time of
+        #: the last give-up, give-ups so far).
+        self._abandoned_inbound: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
         #: Observer hook (see repro.sim.taps): ``(src, seq_id, kind)`` on
         #: every reliable delivery to the application, with kind in
@@ -611,6 +617,14 @@ class ReliableTransport:
             return
         if key in self._inbound:
             return  # duplicate SYNC (retransmission); state already exists
+        abandoned = self._abandoned_inbound.get(key)
+        if abandoned is not None and abandoned[1] > self.MAX_REOPENS:
+            # Reopening starts reassembly from nothing, and its LOSTs reset
+            # the sender's give-up budget.  After an outage that is how a
+            # stream recovers, but a stream given up on again makes no
+            # progress: reopening it forever would keep both ends busy
+            # forever.  Staying silent lets the sender's budget run out.
+            return
         if packet.number == 0:
             # Zero-fragment stream: degenerate but well-formed; ACK at
             # once.  Record it as completed so a retransmitted SYNC (our
@@ -765,6 +779,8 @@ class ReliableTransport:
         if stream.losts_since_progress > self._config.max_retries:
             # Sender is gone; abandon reassembly.
             del self._inbound[key]
+            give_ups = self._abandoned_inbound.get(key, (0.0, 0))[1] + 1
+            self._abandoned_inbound[key] = (self._sim.now, give_ups)
             self._record(
                 EventKind.STREAM_FAILED, seq_id=stream.seq_id, src=stream.src, reason="receiver gave up"
             )
@@ -811,6 +827,11 @@ class ReliableTransport:
         ]
         for key in stale_streams:
             del self._completed_inbound[key]
+        stale_abandoned = [
+            k for k, (t, _n) in self._abandoned_inbound.items() if t < horizon
+        ]
+        for key in stale_abandoned:
+            del self._abandoned_inbound[key]
 
     # ------------------------------------------------------------------
     @property

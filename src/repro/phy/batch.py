@@ -21,8 +21,9 @@ Batch support is per path-loss model, registered by exact type so a
 subclass with an overridden ``loss_db`` is never silently vectorized
 with the parent's formula.  Models that are ``time_varying`` or
 ``order_sensitive`` (frozen shadowing drawn lazily from a shared RNG
-stream) are excluded — exactly the models the medium's reachability
-culling refuses, and for the same reason.
+stream) are excluded.  :func:`supports_batch` also picks the medium's
+reception engine: the neighbourhood-bounded one where it holds, the full
+per-listener scan everywhere else.
 """
 
 from __future__ import annotations

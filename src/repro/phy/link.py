@@ -143,13 +143,6 @@ class LinkBudget:
         #: and range bounds) know to drop them too.
         self.generation: int = 0
 
-    @property
-    def supports_reachability_cache(self) -> bool:
-        """Whether per-sender reachable-listener sets may be precomputed:
-        requires a loss that is both time-invariant and insensitive to the
-        order links are first evaluated in."""
-        return not (self.pathloss.time_varying or self.pathloss.order_sensitive)
-
     def invalidate(self) -> None:
         """Drop every memoized link quality.
 

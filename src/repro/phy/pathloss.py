@@ -84,9 +84,9 @@ class PathLossModel:
     def order_sensitive(self) -> bool:
         """True when the loss for a link is drawn lazily from a *shared*
         RNG stream, so the set/order of first evaluations changes the
-        realisation (frozen shadowing).  Disables the medium's
-        reachability culling, which would evaluate links in a different
-        order than the per-frame resolution loop does."""
+        realisation (frozen shadowing).  Rules out the batch engine, so
+        the medium resolves every frame with its full per-listener scan,
+        which evaluates links in the order the realisation depends on."""
         return False
 
 

@@ -99,10 +99,10 @@ class Radio:
         # Built once: transmit() runs for every frame.
         self._txdone_label = f"radio{node_id} txdone"
 
-        medium.attach(self)
-        # Mirror RX state into the medium so frame completion can account
-        # for out-of-range listeners in aggregate (see Medium docs).
-        medium.register_state_reporter(node_id, self._rx_since, params)
+        # The medium mirrors RX state from here on (notify_rx_state), so
+        # frame completion can account for out-of-range listeners in
+        # aggregate (see Medium docs).
+        medium.attach(self, self._rx_since, params)
 
     # ------------------------------------------------------------------
     # Properties the medium consults
@@ -117,16 +117,10 @@ class Radio:
         """Modulation the radio listens with, or None when not in RX."""
         return self._params if self._state is RadioState.RX else None
 
-    def listening_throughout(self, start: float, end: float) -> bool:
-        """Continuous-RX check the medium uses for half-duplex semantics."""
-        if not self._powered or self._state is not RadioState.RX:
-            return False
-        return self._rx_since is not None and self._rx_since <= start
-
     def rx_params_throughout(self, start: float, end: float) -> Optional[LoRaParams]:
-        """``rx_params`` and :meth:`listening_throughout` folded into one
-        call — the medium asks both questions for every attached radio on
-        every completed frame."""
+        """The modulation the radio listened with continuously during
+        [start, end], or None: the half-duplex check the medium makes for
+        every listener it resolves a frame at."""
         if (
             self._state is not RadioState.RX
             or not self._powered
@@ -210,8 +204,7 @@ class Radio:
         if self._powered:
             return
         self._powered = True
-        self._medium.attach(self)
-        self._medium.register_state_reporter(self.node_id, self._rx_since, self._params)
+        self._medium.attach(self, self._rx_since, self._params)
         self._enter(RadioState.STANDBY)
 
     @property
@@ -222,7 +215,7 @@ class Radio:
     def move_to(self, position: Position) -> None:
         """Relocate the radio (mobility support).
 
-        Notifies the medium so cached reachability sets and memoized link
+        Notifies the medium so cached reachable sets and memoized link
         qualities are recomputed against the new geometry.
         """
         if position == self._position:

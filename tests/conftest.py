@@ -59,6 +59,26 @@ def build_radios(
     return radios
 
 
+def observed(net) -> tuple:
+    """A network's trace stream, drop-reason histogram and per-node
+    statistics: everything two runs that must not differ are compared on."""
+    events = tuple(
+        (e.time, e.node, e.kind, tuple(sorted(e.detail.items())))
+        for e in net.trace.events()
+    )
+    stats = tuple(
+        (
+            n.address,
+            n.radio.frames_sent,
+            n.radio.frames_received,
+            n.radio.frames_crc_failed,
+            tuple(sorted((r.address, r.via, r.metric) for r in n.table)),
+        )
+        for n in net.nodes
+    )
+    return events, net.medium.outcome_counts(), stats
+
+
 @pytest.fixture
 def radio_pair(sim: Simulator, medium: Medium, params: LoRaParams) -> List[Radio]:
     """Two radios 50 m apart, both listening (well within range)."""

@@ -322,6 +322,22 @@ class TestAttachment:
         sim.run(until=1.0)
         assert frames == []
 
+    def test_powered_off_radio_leaves_the_rx_mirror(self, sim, medium, params):
+        """A powered-off radio that changes state (here: a retune) is no
+        listener any more: it must not be counted among the listeners a
+        frame reaches in aggregate."""
+        a, b, far, dead = build_radios(
+            sim, medium, [(0.0, 0.0), (50.0, 0.0), (-5000.0, 0.0), (5000.0, 0.0)], params
+        )
+        dead.power_off()
+        dead.configure(params)
+        a.transmit(b"x")
+        sim.run(until=1.0)
+        counts = medium.outcome_counts()
+        assert counts[DropReason.DELIVERED] == 1
+        assert counts[DropReason.BELOW_SENSITIVITY] == 1
+        assert counts[DropReason.NOT_LISTENING] == 0
+
     def test_transmissions_total_counter(self, sim, medium, params, radio_pair):
         a, b = radio_pair
         a.transmit(b"1")

@@ -1,10 +1,14 @@
-"""The medium's fast paths must be invisible to simulated outcomes.
+"""The medium's bounded engine must be invisible to simulated outcomes.
 
-Reachability culling and link-budget memoization change wall-clock cost
-only: for any fixed seed, the trace stream, the drop-reason histogram,
-and every node's statistics must be byte-identical with the fast paths
-on or off — including under mobility, attach/detach churn, and CAD
-self-sensing.
+A path-loss model with a registered batch kernel gets the
+neighbourhood-bounded engine (grid-plus-batch reachable sets, aggregate
+accounting, interference pruning, range-gated carrier sense); every
+other model gets the full per-listener scan.  For any fixed seed, the
+trace stream, the drop-reason histogram, and every node's statistics
+must be byte-identical on both — including under mobility, attach/detach
+churn, and CAD self-sensing.  Each reference side runs on
+:class:`Unbounded`, the default channel with no batch kernel, and checks
+``medium._bounded`` so it cannot silently compare the engine with itself.
 """
 
 import dataclasses
@@ -21,49 +25,42 @@ from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.pathloss import LogDistancePathLoss
 from repro.phy.regions import UNRESTRICTED
 from repro.topology.placement import grid_positions
+from repro.verify.faults import FaultInjector, random_churn_plan
 
-from tests.conftest import build_radios
+from tests.conftest import build_radios, observed
 
 CFG = MesherConfig(hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0)
 
 
-def _observed(net: MeshNetwork):
-    """Trace stream, drop-reason histogram and per-node statistics."""
-    events = tuple(
-        (e.time, e.node, e.kind, tuple(sorted(e.detail.items())))
-        for e in net.trace.events()
+class Unbounded(LogDistancePathLoss):
+    """The default channel without a batch kernel (kernels register by
+    exact type), so a medium over it runs the full per-listener scan."""
+
+
+def _pathloss(bounded: bool) -> LogDistancePathLoss:
+    return LogDistancePathLoss() if bounded else Unbounded()
+
+
+def _mesh(positions, seed: int, *, bounded: bool, **kwargs) -> MeshNetwork:
+    net = MeshNetwork.from_positions(
+        positions, seed=seed, pathloss=_pathloss(bounded), **kwargs
     )
-    stats = tuple(
-        (
-            n.address,
-            n.radio.frames_sent,
-            n.radio.frames_received,
-            n.radio.frames_crc_failed,
-            tuple(sorted((r.address, r.via, r.metric) for r in n.table)),
-        )
-        for n in net.nodes
-    )
-    return events, net.medium.outcome_counts(), stats
+    assert net.medium._bounded is bounded
+    return net
 
 
 def _run_network(
     spacing: float,
     seed: int,
     *,
-    fast: bool,
-    batch: bool = True,
+    bounded: bool,
+    link_memo: bool = True,
     duration: float = 900.0,
 ):
-    net = MeshNetwork.from_positions(
-        grid_positions(3, 3, spacing_m=spacing), config=CFG, seed=seed
-    )
-    if not fast:
-        net.medium.use_reachability = False
-        net.medium._link.cache_enabled = False
-    if not batch:
-        net.medium.use_batch_phy = False
+    net = _mesh(grid_positions(3, 3, spacing_m=spacing), seed, bounded=bounded, config=CFG)
+    net.medium.link_budget.cache_enabled = link_memo
     net.run(for_s=duration)
-    return _observed(net)
+    return observed(net)
 
 
 #: Default log-distance channel at SF7/BW125: a 137 m range, and a
@@ -93,39 +90,44 @@ PRUNING_CFG = MesherConfig(
 )
 
 
-def _pruning_network() -> MeshNetwork:
+def _pruning_network(*, bounded: bool = True) -> MeshNetwork:
     sf8 = dataclasses.replace(
         PRUNING_CFG, lora=LoRaParams(spreading_factor=SpreadingFactor.SF8)
     )
-    return MeshNetwork.from_positions(
-        PRUNING_LAYOUT, config=PRUNING_CFG, configs=[None] * 8 + [sf8] * 3, seed=4
+    return _mesh(
+        PRUNING_LAYOUT,
+        4,
+        bounded=bounded,
+        config=PRUNING_CFG,
+        configs=[None] * 8 + [sf8] * 3,
     )
 
 
-def _run_pruning_layout(*, batch: bool):
-    net = _pruning_network()
-    net.medium.use_batch_phy = batch
+def _run_pruning_layout(*, bounded: bool):
+    net = _pruning_network(bounded=bounded)
     for index, (first, period) in PRUNING_BROADCASTS.items():
         broadcast = partial(net.nodes[index].broadcast, bytes(100))
         for k in range(int(600.0 / period)):
             net.sim.schedule(first + period * k, broadcast)
     net.run(for_s=620.0)
-    return _observed(net)
+    return observed(net)
 
 
 class TestFastSlowEquivalence:
     @pytest.mark.parametrize("spacing", [80.0, 200.0])
     @pytest.mark.parametrize("seed", [3, 17])
     def test_trace_and_outcomes_identical(self, spacing, seed):
-        fast = _run_network(spacing, seed, fast=True)
-        slow = _run_network(spacing, seed, fast=False)
+        """The bounded engine against the scan with the link memo off:
+        every link evaluated from scratch, every listener classified."""
+        fast = _run_network(spacing, seed, bounded=True)
+        slow = _run_network(spacing, seed, bounded=False, link_memo=False)
         assert fast[0] == slow[0], "trace streams diverged"
         assert fast[1] == slow[1], "drop-reason histograms diverged"
         assert fast[2] == slow[2], "node statistics diverged"
 
     def test_repeat_run_is_deterministic(self):
-        first = _run_network(100.0, 9, fast=True)
-        second = _run_network(100.0, 9, fast=True)
+        first = _run_network(100.0, 9, bounded=True)
+        second = _run_network(100.0, 9, bounded=True)
         assert first == second
 
 
@@ -202,12 +204,11 @@ class TestReachabilityInvalidation:
         assert b.frames_received == 1
 
     def test_mobility_equivalent_with_and_without_culling(self, sim, params):
-        def run(fast: bool):
+        def run(bounded: bool):
             local_sim = type(sim)()
-            medium = Medium(local_sim, LinkBudget(LogDistancePathLoss()))
-            medium.use_reachability = fast
-            if not fast:
-                medium._link.cache_enabled = False
+            medium = Medium(local_sim, LinkBudget(_pathloss(bounded)))
+            assert medium._bounded is bounded
+            medium.link_budget.cache_enabled = bounded
             a, b = build_radios(
                 local_sim, medium, [(0.0, 0.0), (100.0, 0.0)], params
             )
@@ -221,26 +222,21 @@ class TestReachabilityInvalidation:
 
 
 class TestBatchEquivalence:
-    """The vectorized batch engine (grid candidates + matrix margins +
-    aggregate culled-listener accounting) must be outcome-invisible."""
+    """The bounded engine (grid candidates + batched RSSI rows +
+    aggregate accounting + pruning) must be outcome-invisible."""
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     @pytest.mark.parametrize("spacing", [80.0, 200.0])
     def test_batch_on_off_identical(self, spacing, seed):
-        on = _run_network(spacing, seed, fast=True, batch=True)
-        off = _run_network(spacing, seed, fast=True, batch=False)
+        on = _run_network(spacing, seed, bounded=True)
+        off = _run_network(spacing, seed, bounded=False)
         assert on[0] == off[0], "trace streams diverged"
         assert on[1] == off[1], "drop-reason histograms diverged"
         assert on[2] == off[2], "node statistics diverged"
 
-    def test_batch_matches_fully_scalar_path(self):
-        batch = _run_network(80.0, 7, fast=True, batch=True)
-        scalar = _run_network(80.0, 7, fast=False, batch=False)
-        assert batch == scalar
-
     def test_batch_auto_enabled_for_static_models(self):
         net = MeshNetwork.from_positions(grid_positions(2, 2), config=CFG, seed=1)
-        assert net.medium.use_batch_phy
+        assert net.medium._bounded
 
     def test_batch_auto_disabled_for_order_sensitive_models(self):
         import random
@@ -249,19 +245,18 @@ class TestBatchEquivalence:
         net = MeshNetwork.from_positions(
             grid_positions(2, 2), config=CFG, seed=1, pathloss=shadowed
         )
-        assert not net.medium.use_batch_phy
-        assert not net.medium.use_reachability
+        assert not net.medium._bounded
+        net.run(for_s=300.0)
+        assert not net.medium._reachable_cache
 
     @pytest.mark.parametrize("seed", [5, 11, 23])
     def test_random_waypoint_mobility_identical(self, seed):
         from repro.topology.mobility import RandomWaypoint
 
-        def run(batch: bool):
-            net = MeshNetwork.from_positions(
-                grid_positions(3, 4, spacing_m=90.0), config=CFG, seed=seed
+        def run(bounded: bool):
+            net = _mesh(
+                grid_positions(3, 4, spacing_m=90.0), seed, bounded=bounded, config=CFG
             )
-            if not batch:
-                net.medium.use_batch_phy = False
             walkers = [
                 RandomWaypoint(
                     net.sim,
@@ -276,22 +271,7 @@ class TestBatchEquivalence:
             for walker in walkers:
                 walker.start()
             net.run(for_s=900.0)
-            events = tuple(
-                (e.time, e.node, e.kind, tuple(sorted(e.detail.items())))
-                for e in net.trace.events()
-            )
-            stats = tuple(
-                (
-                    n.address,
-                    n.radio.frames_sent,
-                    n.radio.frames_received,
-                    n.radio.frames_crc_failed,
-                    tuple(sorted((r.address, r.via, r.metric) for r in n.table)),
-                )
-                for n in net.nodes
-            )
-            legs = tuple(w.legs_completed for w in walkers)
-            return events, net.medium.outcome_counts(), stats, legs
+            return observed(net) + (tuple(w.legs_completed for w in walkers),)
 
         on = run(True)
         off = run(False)
@@ -320,9 +300,9 @@ class TestBatchEquivalence:
         survives_interference = channel.survives_interference
         monkeypatch.setattr(channel, "survives_interference", counted)
 
-        on = _run_pruning_layout(batch=True)
+        on = _run_pruning_layout(bounded=True)
         pruned_calls = len(calls)
-        off = _run_pruning_layout(batch=False)
+        off = _run_pruning_layout(bounded=False)
         full_calls = len(calls) - pruned_calls
         assert on[0] == off[0], "trace streams diverged"
         assert on[1] == off[1], "drop-reason histograms diverged"
@@ -347,12 +327,10 @@ class TestBatchEquivalence:
         assert 200.0 < medium._interference_cutoff(sf8, sf7) < 260.0
 
     def test_convergence_time_identical(self):
-        def converge(batch: bool):
-            net = MeshNetwork.from_positions(
-                grid_positions(4, 4, spacing_m=100.0), config=CFG, seed=13
+        def converge(bounded: bool):
+            net = _mesh(
+                grid_positions(4, 4, spacing_m=100.0), 13, bounded=bounded, config=CFG
             )
-            if not batch:
-                net.medium.use_batch_phy = False
             return net.run_until_converged(timeout_s=3600.0)
 
         t_on = converge(True)
@@ -360,15 +338,46 @@ class TestBatchEquivalence:
         assert t_on is not None
         assert t_on == t_off
 
+    def test_crash_revive_churn_identical(self):
+        """Crashes detach a radio from the medium and revivals re-attach
+        it with its RX state, the path that feeds the aggregate
+        accounting's mirror."""
+
+        def run(bounded: bool):
+            net = _mesh(grid_positions(3, 3, spacing_m=80.0), 5, bounded=bounded, config=CFG)
+            plan = random_churn_plan(
+                net.addresses, seed=7, start=300.0, end=2100.0, cycles=4
+            )
+            assert plan.crashes and plan.revives
+            FaultInjector(net, plan, seed=7).arm()
+            aggregate = []
+            complete_aggregate = net.medium._complete_aggregate
+
+            def counted(*args):
+                aggregate.append(None)
+                return complete_aggregate(*args)
+
+            net.medium._complete_aggregate = counted
+            net.run(for_s=2400.0)
+            return observed(net), len(aggregate)
+
+        (on, on_aggregate), (off, off_aggregate) = run(True), run(False)
+        assert on[0] == off[0], "trace streams diverged under churn"
+        assert on[1] == off[1], "drop-reason histograms diverged under churn"
+        assert on[2] == off[2], "node statistics diverged under churn"
+        # The bounded side resolved through the aggregate path, the
+        # reference never did.
+        assert on_aggregate > 0 and off_aggregate == 0
+
 
 class TestSelectiveMoveInvalidation:
     """A move must evict only the reachable-cache entries it can affect
-    (satellite: the wholesale notify_moved clear lost every PR 2 speedup
+    (a wholesale clear on every move would rebuild every sender's set
     under mobility)."""
 
     def test_two_node_move_keeps_unrelated_entries(self, sim, params):
         medium = Medium(sim, LinkBudget(LogDistancePathLoss()))
-        assert medium.use_batch_phy
+        assert medium._bounded
         # 48-node cluster near the origin plus a far-away 2-node pair:
         # no entry from the cluster involves the pair or vice versa.
         positions = [(i * 60.0, 0.0) for i in range(48)]
@@ -399,16 +408,18 @@ class TestSelectiveMoveInvalidation:
         b.move_to((50.0, 0.0))
         assert ((0.0, 0.0), id(params)) not in medium._reachable_cache
 
-    def test_scalar_path_still_clears_wholesale(self, sim, params):
-        medium = Medium(
-            sim, LinkBudget(LogDistancePathLoss()), use_batch_phy=False
-        )
+    def test_scan_keeps_no_entries(self, sim, params):
+        medium = Medium(sim, LinkBudget(Unbounded()))
+        assert not medium._bounded
         a, b = build_radios(sim, medium, [(0.0, 0.0), (60.0, 0.0)], params)
         a.transmit(bytes(8))
         sim.run(until=sim.now + 1.0)
-        assert medium._reachable_cache
         b.move_to((70.0, 0.0))
+        a.transmit(bytes(8))
+        sim.run(until=sim.now + 1.0)
         assert not medium._reachable_cache
+        assert b.frames_received == 2
+        assert medium.outcome_counts()[DropReason.DELIVERED] == 2
 
 
 class TestCadSelfSensing:

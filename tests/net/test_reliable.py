@@ -275,6 +275,30 @@ class TestStreams:
         sim.run(until=200.0)
         assert transports[B].active_inbound == 0
 
+    def test_undeliverable_fragment_fails_instead_of_livelocking(self, sim, pair):
+        # One fragment never gets through.  The receiver chases it until it
+        # gives up, reopens the stream once on the sender's re-sent SYNC,
+        # and after giving up again stays silent: reopening forever would
+        # reset the sender's budget with every LOST and keep both ends
+        # busy forever.
+        transports, received, wire, config = pair
+        original = wire.enqueue
+
+        def drop_fragment_2(packet):
+            if isinstance(packet, XLDataPacket) and packet.number == 2:
+                wire.dropped += 1
+                return True
+            return original(packet)
+
+        transports[A]._enqueue = drop_fragment_2
+        outcome = []
+        transports[A].send(B, bytes(300), lambda ok, why: outcome.append(ok))
+        sim.run(until=3600.0)
+        assert outcome == [False]
+        assert received[B] == []
+        assert transports[B].active_inbound == 0
+        assert sim.pending == 0
+
     def test_concurrent_streams_to_same_destination(self, sim, pair):
         transports, received, wire, _ = pair
         p1 = bytes([1]) * 120

@@ -1,5 +1,6 @@
 """Tests for the air-capture sniffer."""
 
+import collections
 import itertools
 import json
 
@@ -8,8 +9,10 @@ import pytest
 from repro.medium.channel import DropReason
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
-from repro.topology.placement import line_positions
+from repro.topology.placement import grid_positions, line_positions
 from repro.trace.capture import AirCapture
+
+from tests.conftest import observed
 
 FAST = MesherConfig(hello_period_s=30.0, route_timeout_s=120.0, purge_period_s=15.0)
 
@@ -113,6 +116,35 @@ class TestCapture:
         b.send_datagram(c.address, b"two" + bytes(60))
         net.run(for_s=30.0)
         assert capture.collision_count() >= 1
+
+
+def _observed_run(*, capture: bool):
+    """A 3x3 grid's trace stream, outcome histogram and per-node stats,
+    with the capture (if any) that watched it."""
+    config = MesherConfig(hello_period_s=60.0, route_timeout_s=300.0, purge_period_s=30.0)
+    net = MeshNetwork.from_positions(
+        grid_positions(3, 3, spacing_m=80.0), config=config, seed=3
+    )
+    sniffer = AirCapture(net.medium) if capture else None
+    net.run(for_s=900.0)
+    return observed(net), sniffer
+
+
+class TestSnifferIsPassive:
+    def test_capture_changes_no_outcome(self):
+        """A capture needs per-listener outcomes, so its medium resolves
+        every frame with the full scan instead of aggregate accounting;
+        nothing the network does may change."""
+        plain, _ = _observed_run(capture=False)
+        captured, capture = _observed_run(capture=True)
+        assert captured[0] == plain[0], "trace streams diverged"
+        assert captured[1] == plain[1], "drop-reason histograms diverged"
+        assert captured[2] == plain[2], "node statistics diverged"
+        # The capture saw every (frame, listener) outcome the medium counted.
+        seen = collections.Counter(
+            reason for frame in capture.frames for reason in frame.outcomes.values()
+        )
+        assert seen == {reason: n for reason, n in captured[1].items() if n}
 
 
 class TestRoundTrip:
