@@ -29,31 +29,21 @@ Subpackages
 ``repro.net``       the LoRaMesher protocol (the paper's contribution)
 ``repro.baselines`` flooding / star / oracle comparison protocols
 ``repro.topology``  placements, connectivity graphs, failures, mobility
-``repro.workload``  traffic generators and scenario scripts
+``repro.workload``  traffic generators and stream-flow workloads
 ``repro.metrics``   PDR/latency/overhead/energy collection
 ``repro.experiments`` the benchmark harness
 """
 
-from repro.net.api import AppMessage, MeshNetwork, MeshNode
-from repro.net.config import MesherConfig
-from repro.net.addresses import BROADCAST_ADDRESS
-from repro.phy.modulation import Bandwidth, CodingRate, LoRaParams, SpreadingFactor
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MeshNetwork",
-    "MeshNode",
-    "MesherConfig",
-    "AppMessage",
-    "BROADCAST_ADDRESS",
-    "LoRaParams",
-    "SpreadingFactor",
-    "Bandwidth",
-    "CodingRate",
-    "Simulator",
-    "RngRegistry",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.api": ("AppMessage", "MeshNetwork", "MeshNode"),
+    "repro.net.config": ("MesherConfig",),
+    "repro.net.addresses": ("BROADCAST_ADDRESS",),
+    "repro.phy.modulation": ("LoRaParams", "SpreadingFactor", "Bandwidth", "CodingRate"),
+    "repro.sim.kernel": ("Simulator",),
+    "repro.sim.rng": ("RngRegistry",),
+})
+__all__.append("__version__")

@@ -14,13 +14,9 @@ library.
   reachability and RTT measurement (the mesh's diagnostic tool).
 """
 
-from repro.apps.ota import OtaNode, deploy_ota
-from repro.apps.ping import Pinger, deploy_responders, install_responder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OtaNode",
-    "deploy_ota",
-    "Pinger",
-    "deploy_responders",
-    "install_responder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.ota": ("OtaNode", "deploy_ota"),
+    "repro.apps.ping": ("Pinger", "deploy_responders", "install_responder"),
+})

@@ -29,7 +29,6 @@ Wire framing (application payloads, invisible to the mesh):
 
 from __future__ import annotations
 
-import logging
 import random
 import struct
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ from repro.net.mesher import AppMessage, MesherNode
 from repro.sim.kernel import PeriodicTimer
 from repro.sim.taps import tap
 
-logger = logging.getLogger(__name__)
 
 MAGIC = b"OTA1"
 _KIND_ADVERT = 0x01

@@ -23,17 +23,11 @@ regional rules from the same ``MesherConfig``, so benchmark differences
 isolate the protocol, not the substrate.
 """
 
-from repro.baselines.aodv import AodvNetwork, AodvNode
-from repro.baselines.flooding import FloodingNetwork, FloodingNode
-from repro.baselines.star import StarNetwork
-from repro.baselines.idealrouter import OracleNode, build_oracle_network
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FloodingNode",
-    "FloodingNetwork",
-    "StarNetwork",
-    "OracleNode",
-    "build_oracle_network",
-    "AodvNode",
-    "AodvNetwork",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.aodv": ("AodvNode", "AodvNetwork"),
+    "repro.baselines.flooding": ("FloodingNode", "FloodingNetwork"),
+    "repro.baselines.star": ("StarNetwork",),
+    "repro.baselines.idealrouter": ("OracleNode", "build_oracle_network"),
+})

@@ -31,7 +31,6 @@ Wire format (own framing, distinct from the mesh)::
 
 from __future__ import annotations
 
-import logging
 import random
 import struct
 import sys
@@ -50,7 +49,6 @@ from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
 
-logger = logging.getLogger(__name__)
 
 _HEADER = struct.Struct("<HHBBH")  # dst, src, type, len(after header), sender
 _RREQ = struct.Struct("<HHHBB")  # origin, rreq_id, target, hops, ttl

@@ -13,7 +13,6 @@ sequence number and TTL)::
 
 from __future__ import annotations
 
-import logging
 import struct
 import sys
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
 
-logger = logging.getLogger(__name__)
 
 _FLOOD_HEADER = struct.Struct("<HHBBHB")  # dst, src, type, len, seq, ttl
 FLOOD_TYPE = 0x81

@@ -13,7 +13,6 @@ apples.
 
 from __future__ import annotations
 
-import logging
 import sys
 from typing import Callable, List, Optional, Sequence
 
@@ -30,8 +29,6 @@ from repro.phy.pathloss import PathLossModel, Position
 from repro.radio.driver import Radio
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import Simulator
-
-logger = logging.getLogger(__name__)
 
 
 class _StarEndpoint:

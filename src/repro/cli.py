@@ -28,7 +28,6 @@ from repro.phy.airtime import time_on_air
 from repro.phy.link import LinkBudget
 from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.pathloss import LogDistancePathLoss
-from repro.topology.graphs import connectivity_graph, graph_stats
 from repro.topology.placement import grid_positions, line_positions, ring_positions
 
 
@@ -691,6 +690,8 @@ def _format_event(event, format_address) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """Connectivity check for a placement before deploying it."""
+    from repro.topology.graphs import connectivity_graph, graph_stats
+
     positions = _make_positions(args.topology, args.nodes, args.spacing)
     budget = LinkBudget(LogDistancePathLoss())
     if args.auto_sf:

@@ -9,30 +9,13 @@
   bench emits the same row format the paper's tables would.
 """
 
-from repro.experiments.runner import Protocol, RunResult, TrafficSpec, run_protocol
-from repro.experiments.report import format_table, print_table
-from repro.experiments.sweep import derive_seed, repeat_seeds, run_parallel, sweep_grid
-from repro.experiments.ascii_plot import ascii_plot, print_plot
-from repro.experiments.export import ExperimentRecord, export_records, load_records
-from repro.experiments.regression import ComparisonReport, compare_files, compare_records
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Protocol",
-    "TrafficSpec",
-    "RunResult",
-    "run_protocol",
-    "print_table",
-    "format_table",
-    "sweep_grid",
-    "repeat_seeds",
-    "run_parallel",
-    "derive_seed",
-    "ascii_plot",
-    "print_plot",
-    "ExperimentRecord",
-    "export_records",
-    "load_records",
-    "ComparisonReport",
-    "compare_files",
-    "compare_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.runner": ("Protocol", "TrafficSpec", "RunResult", "run_protocol"),
+    "repro.experiments.report": ("print_table", "format_table"),
+    "repro.experiments.sweep": ("sweep_grid", "repeat_seeds", "run_parallel", "derive_seed"),
+    "repro.experiments.ascii_plot": ("ascii_plot", "print_plot"),
+    "repro.experiments.export": ("ExperimentRecord", "export_records", "load_records"),
+    "repro.experiments.regression": ("ComparisonReport", "compare_files", "compare_records"),
+})

@@ -8,6 +8,8 @@ and at frame end hands each listener that heard a frame its
 :class:`~repro.radio.frames.ReceivedFrame`.
 """
 
-from repro.medium.channel import Medium, Transmission, DropReason
+from repro._lazy import lazy_exports
 
-__all__ = ["Medium", "Transmission", "DropReason"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.medium.channel": ("Medium", "Transmission", "DropReason"),
+})

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ from repro.phy.pathloss import Position
 from repro.medium.spatial import SpatialGrid
 from repro.radio.frames import ReceivedFrame
 from repro.sim.kernel import PRIORITY_HIGH, Simulator
-
-logger = logging.getLogger(__name__)
 
 
 class MediumListener(Protocol):

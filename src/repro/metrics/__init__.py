@@ -7,21 +7,13 @@
   radio's per-state residency times.
 """
 
-from repro.metrics.collect import FlowRecorder, FlowSummary, attach_recorder, overhead_summary
-from repro.metrics.energy import EnergyModel, TTGO_LORA32
-from repro.metrics.health import NetworkHealth, network_health
-from repro.metrics.stats import mean, percentile, summary_stats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowRecorder",
-    "FlowSummary",
-    "attach_recorder",
-    "overhead_summary",
-    "EnergyModel",
-    "TTGO_LORA32",
-    "NetworkHealth",
-    "network_health",
-    "mean",
-    "percentile",
-    "summary_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.collect": (
+        "FlowRecorder", "FlowSummary", "attach_recorder", "overhead_summary",
+    ),
+    "repro.metrics.energy": ("EnergyModel", "TTGO_LORA32"),
+    "repro.metrics.health": ("NetworkHealth", "network_health"),
+    "repro.metrics.stats": ("mean", "percentile", "summary_stats"),
+})

@@ -21,43 +21,16 @@ Layout
 * :mod:`repro.net.api` — the public application-facing API.
 """
 
-from repro.net.addresses import BROADCAST_ADDRESS, address_from_mac, format_address
-from repro.net.config import MesherConfig
-from repro.net.packets import (
-    AckPacket,
-    DataPacket,
-    LostPacket,
-    PacketType,
-    RoutingEntry,
-    RoutingPacket,
-    SyncPacket,
-    XLDataPacket,
-)
-from repro.net.routing_table import RouteEntry, RoutingTable, make_routing_table
-from repro.net.stream import Stream, StreamManager, StreamState, StreamStats
-from repro.net.api import AppMessage, MeshNode, MeshNetwork
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BROADCAST_ADDRESS",
-    "address_from_mac",
-    "format_address",
-    "MesherConfig",
-    "PacketType",
-    "RoutingEntry",
-    "RoutingPacket",
-    "DataPacket",
-    "AckPacket",
-    "LostPacket",
-    "SyncPacket",
-    "XLDataPacket",
-    "RouteEntry",
-    "RoutingTable",
-    "make_routing_table",
-    "MeshNode",
-    "MeshNetwork",
-    "AppMessage",
-    "Stream",
-    "StreamManager",
-    "StreamState",
-    "StreamStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.addresses": ("BROADCAST_ADDRESS", "address_from_mac", "format_address"),
+    "repro.net.config": ("MesherConfig",),
+    "repro.net.packets": (
+        "PacketType", "RoutingEntry", "RoutingPacket", "DataPacket", "AckPacket", "LostPacket",
+        "SyncPacket", "XLDataPacket",
+    ),
+    "repro.net.routing_table": ("RouteEntry", "RoutingTable", "make_routing_table"),
+    "repro.net.api": ("MeshNode", "MeshNetwork", "AppMessage"),
+    "repro.net.stream": ("Stream", "StreamManager", "StreamState", "StreamStats"),
+})

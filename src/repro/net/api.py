@@ -26,7 +26,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import logging
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.medium.channel import LossInjector, Medium
@@ -38,7 +37,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.trace.events import TraceRecorder
 
-logger = logging.getLogger(__name__)
 
 #: The first auto-assigned node address (then +1 per node).
 FIRST_ADDRESS = 0x0001

@@ -6,8 +6,9 @@ When a node receives one it classifies the frame:
 * ``DELIVER``  — the node is the final destination (or it's a broadcast),
 * ``FORWARD``  — the node is the named via but not the destination: look
   up the next hop towards ``dst``, rewrite ``via``, and re-enqueue,
-* ``OVERHEAR`` — the frame is for someone else; the only action is the
-  implicit neighbour refresh (hearing proves the link),
+* ``OVERHEAR`` — the frame is for someone else; the node only counts it
+  (neighbour routes are refreshed by hellos alone: a via-packet's src is
+  its origin, not its transmitter),
 * ``NO_ROUTE`` — the node should forward but has no route; the frame is
   dropped (and counted — the paper's DV protocol has no route discovery
   on demand, routes exist only via hellos).

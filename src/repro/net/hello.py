@@ -12,7 +12,6 @@ firmware couples both timers in its routing task.
 
 from __future__ import annotations
 
-import logging
 import random
 from typing import Callable, List, Optional
 
@@ -22,7 +21,6 @@ from repro.net.routing_table import RoutingTable
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.trace.events import EventKind, TraceRecorder
 
-logger = logging.getLogger(__name__)
 
 #: Signature the service uses to hand packets to the send queue.
 EnqueueFn = Callable[[RoutingPacket], bool]

@@ -19,7 +19,6 @@ Update rules (RIP-style, as the firmware implements them):
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -28,8 +27,6 @@ from repro.net.packets import NodeRole, RoutingEntry
 
 #: Plain-int default role, hoisted out of the per-hello hot path.
 _DEFAULT_ROLE = int(NodeRole.DEFAULT)
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(slots=True)
@@ -110,15 +107,16 @@ class RoutingTable:
     ) -> None:
         """Refresh the direct route to a neighbour we just heard.
 
-        Called for *every* correctly received packet, not only hellos —
-        overhearing a data frame proves the link just as well.
+        Called only from :meth:`process_hello`: a ROUTING packet's src is
+        its transmitter, whereas a via-packet's src is its end-to-end
+        origin, so overheard data frames refresh nothing.
         """
         if neighbour == self.self_address or neighbour == BROADCAST_ADDRESS:
             return
         current = self._routes.get(neighbour)
         if current is not None and current.via == neighbour and current.metric == 1:
-            # Already the direct route: refresh in place (every received
-            # packet lands here, so avoid allocating a fresh entry).
+            # Already the direct route: refresh in place (every hello from
+            # a known neighbour lands here, so avoid allocating a fresh entry).
             if role and role != current.role:
                 current.role = role
                 self._version += 1

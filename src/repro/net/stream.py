@@ -41,7 +41,6 @@ half-close state.
 from __future__ import annotations
 
 import enum
-import logging
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -49,7 +48,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.reliable import RttEstimator
 
-logger = logging.getLogger(__name__)
 
 #: First payload byte that marks a stream-layer message.
 STREAM_MAGIC = 0xD5

@@ -29,65 +29,23 @@ Quickstart::
     sampler.export_csv("health.csv")
 """
 
-from repro.obs.dashboard import DashboardServer
-from repro.obs.export import (
-    export_jsonl,
-    export_prometheus,
-    from_jsonl,
-    to_jsonl,
-    to_prometheus,
-)
-from repro.obs.instrument import (
-    instrument_flows,
-    instrument_network,
-    instrument_node,
-    instrument_shards,
-)
-from repro.obs.profiler import HotSpot, KernelProfiler
-from repro.obs.registry import (
-    AIRTIME_BUCKETS_S,
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricSample,
-    MetricsRegistry,
-)
-from repro.obs.sampler import (
-    SamplePoint,
-    TimeSeriesSampler,
-    load_timeseries_csv,
-    load_timeseries_jsonl,
-)
-from repro.obs.store import EventStore, StoredEvent, StoreRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricSample",
-    "MetricsRegistry",
-    "LATENCY_BUCKETS_S",
-    "AIRTIME_BUCKETS_S",
-    "SamplePoint",
-    "TimeSeriesSampler",
-    "load_timeseries_jsonl",
-    "load_timeseries_csv",
-    "EventStore",
-    "StoredEvent",
-    "StoreRecorder",
-    "DashboardServer",
-    "KernelProfiler",
-    "HotSpot",
-    "instrument_network",
-    "instrument_node",
-    "instrument_flows",
-    "instrument_shards",
-    "to_prometheus",
-    "to_jsonl",
-    "from_jsonl",
-    "export_jsonl",
-    "export_prometheus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.registry": (
+        "Counter", "Gauge", "Histogram", "MetricError", "MetricSample", "MetricsRegistry",
+        "LATENCY_BUCKETS_S", "AIRTIME_BUCKETS_S",
+    ),
+    "repro.obs.sampler": (
+        "SamplePoint", "TimeSeriesSampler", "load_timeseries_jsonl", "load_timeseries_csv",
+    ),
+    "repro.obs.store": ("EventStore", "StoredEvent", "StoreRecorder"),
+    "repro.obs.dashboard": ("DashboardServer",),
+    "repro.obs.profiler": ("KernelProfiler", "HotSpot"),
+    "repro.obs.instrument": (
+        "instrument_network", "instrument_node", "instrument_flows", "instrument_shards",
+    ),
+    "repro.obs.export": (
+        "to_prometheus", "to_jsonl", "from_jsonl", "export_jsonl", "export_prometheus",
+    ),
+})

@@ -14,55 +14,19 @@ testbed used.  It provides:
   cycle, dwell time) and a per-node duty-cycle accountant.
 """
 
-from repro.phy.modulation import (
-    Bandwidth,
-    CodingRate,
-    LoRaParams,
-    SpreadingFactor,
-)
-from repro.phy.airtime import (
-    payload_symbols,
-    preamble_duration,
-    symbol_duration,
-    time_on_air,
-)
-from repro.phy.pathloss import (
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    MultiWallPathLoss,
-    PathLossModel,
-)
-from repro.phy.link import (
-    CAPTURE_THRESHOLD_DB,
-    LinkBudget,
-    noise_floor_dbm,
-    sensitivity_dbm,
-    snr_floor_db,
-)
-from repro.phy.regions import DutyCycleAccountant, Region, EU868, US915
-from repro.phy.fading import BlockFadingPathLoss
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpreadingFactor",
-    "Bandwidth",
-    "CodingRate",
-    "LoRaParams",
-    "symbol_duration",
-    "preamble_duration",
-    "payload_symbols",
-    "time_on_air",
-    "PathLossModel",
-    "FreeSpacePathLoss",
-    "LogDistancePathLoss",
-    "MultiWallPathLoss",
-    "LinkBudget",
-    "noise_floor_dbm",
-    "sensitivity_dbm",
-    "snr_floor_db",
-    "CAPTURE_THRESHOLD_DB",
-    "DutyCycleAccountant",
-    "Region",
-    "EU868",
-    "US915",
-    "BlockFadingPathLoss",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.phy.modulation": ("SpreadingFactor", "Bandwidth", "CodingRate", "LoRaParams"),
+    "repro.phy.airtime": (
+        "symbol_duration", "preamble_duration", "payload_symbols", "time_on_air",
+    ),
+    "repro.phy.pathloss": (
+        "PathLossModel", "FreeSpacePathLoss", "LogDistancePathLoss", "MultiWallPathLoss",
+    ),
+    "repro.phy.link": (
+        "LinkBudget", "noise_floor_dbm", "sensitivity_dbm", "snr_floor_db", "CAPTURE_THRESHOLD_DB",
+    ),
+    "repro.phy.regions": ("DutyCycleAccountant", "Region", "EU868", "US915"),
+    "repro.phy.fading": ("BlockFadingPathLoss",),
+})

@@ -7,8 +7,10 @@ state machine (SLEEP / STANDBY / RX / TX / CAD) with tx-done and rx-done
 callbacks, CRC reporting, and channel-activity detection.
 """
 
-from repro.radio.driver import Radio, RadioError, RadioBusyError
-from repro.radio.states import RadioState
-from repro.radio.frames import ReceivedFrame
+from repro._lazy import lazy_exports
 
-__all__ = ["Radio", "RadioState", "ReceivedFrame", "RadioError", "RadioBusyError"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.radio.driver": ("Radio", "RadioError", "RadioBusyError"),
+    "repro.radio.states": ("RadioState",),
+    "repro.radio.frames": ("ReceivedFrame",),
+})

@@ -19,7 +19,6 @@ can compute battery figures without the driver knowing about joules.
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.phy.airtime import time_on_air
@@ -33,8 +32,6 @@ if TYPE_CHECKING:
     # Annotations only: the medium imports ReceivedFrame from this
     # package, so a runtime import here would be circular.
     from repro.medium.channel import Medium
-
-logger = logging.getLogger(__name__)
 
 
 class RadioError(Exception):
@@ -111,11 +108,6 @@ class Radio:
     def position(self) -> Position:
         """Current planar position (metres)."""
         return self._position
-
-    @property
-    def rx_params(self) -> Optional[LoRaParams]:
-        """Modulation the radio listens with, or None when not in RX."""
-        return self._params if self._state is RadioState.RX else None
 
     def rx_params_throughout(self, start: float, end: float) -> Optional[LoRaParams]:
         """The modulation the radio listened with continuously during

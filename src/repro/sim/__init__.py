@@ -9,13 +9,10 @@ subsystem (PHY, medium, radio driver, the LoRaMesher protocol itself) can
 be tested against it in isolation.
 """
 
-from repro.sim.errors import SimulationError
-from repro.sim.kernel import Simulator, EventHandle
-from repro.sim.rng import RngRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "RngRegistry",
-    "SimulationError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.kernel": ("Simulator", "EventHandle"),
+    "repro.sim.rng": ("RngRegistry",),
+    "repro.sim.errors": ("SimulationError",),
+})

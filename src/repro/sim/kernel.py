@@ -17,13 +17,11 @@ Determinism rules
 from __future__ import annotations
 
 import heapq
-import logging
 from time import perf_counter
 from typing import Any, Callable, Optional, Union
 
 from repro.sim.errors import SchedulingError, SimulationError
 
-logger = logging.getLogger(__name__)
 
 #: Events scheduled with this priority run before ordinary events that share
 #: the same timestamp (used by the medium to finalise receptions before

@@ -7,33 +7,15 @@ their radio connectivity with networkx, and scripts runtime dynamics
 (node failures, mobility).
 """
 
-from repro.topology.placement import (
-    campus_positions,
-    grid_positions,
-    line_positions,
-    random_positions,
-    ring_positions,
-)
-from repro.topology.graphs import connectivity_graph, graph_stats, is_connected
-from repro.topology.mobility import FailureSchedule, RandomWaypoint
-from repro.topology.planning import minimum_connecting_sf, plan_all_sfs
-from repro.topology.layout import Layout, LayoutNode, load_layout, save_layout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "minimum_connecting_sf",
-    "plan_all_sfs",
-    "Layout",
-    "LayoutNode",
-    "load_layout",
-    "save_layout",
-    "line_positions",
-    "grid_positions",
-    "ring_positions",
-    "random_positions",
-    "campus_positions",
-    "connectivity_graph",
-    "graph_stats",
-    "is_connected",
-    "FailureSchedule",
-    "RandomWaypoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.planning": ("minimum_connecting_sf", "plan_all_sfs"),
+    "repro.topology.layout": ("Layout", "LayoutNode", "load_layout", "save_layout"),
+    "repro.topology.placement": (
+        "line_positions", "grid_positions", "ring_positions", "random_positions",
+        "campus_positions",
+    ),
+    "repro.topology.graphs": ("connectivity_graph", "graph_stats", "is_connected"),
+    "repro.topology.mobility": ("FailureSchedule", "RandomWaypoint"),
+})

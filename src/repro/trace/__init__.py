@@ -7,7 +7,9 @@ trace instead of poking protocol internals, so assertions stay decoupled
 from implementation details.
 """
 
-from repro.trace.events import EventKind, TraceEvent, TraceRecorder
-from repro.trace.capture import AirCapture, CapturedFrame
+from repro._lazy import lazy_exports
 
-__all__ = ["EventKind", "TraceEvent", "TraceRecorder", "AirCapture", "CapturedFrame"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.trace.events": ("EventKind", "TraceEvent", "TraceRecorder"),
+    "repro.trace.capture": ("AirCapture", "CapturedFrame"),
+})

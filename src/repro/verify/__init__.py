@@ -10,38 +10,15 @@ See ``docs/verification.md`` for the invariant catalogue and the
 transient-tolerance (grace window) model.
 """
 
-from repro.verify.faults import (
-    BurstLoss,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    LinkBlackout,
-    NodeCrash,
-    NodeRevive,
-    random_churn_plan,
-)
-from repro.verify.invariants import (
-    STRICT_ENV,
-    Invariant,
-    InvariantChecker,
-    InvariantViolation,
-    Violation,
-    strict_from_env,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Invariant",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Violation",
-    "STRICT_ENV",
-    "strict_from_env",
-    "NodeCrash",
-    "NodeRevive",
-    "LinkBlackout",
-    "BurstLoss",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "random_churn_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verify.invariants": (
+        "Invariant", "InvariantChecker", "InvariantViolation", "Violation", "STRICT_ENV",
+        "strict_from_env",
+    ),
+    "repro.verify.faults": (
+        "NodeCrash", "NodeRevive", "LinkBlackout", "BurstLoss", "FaultEvent", "FaultPlan",
+        "FaultInjector", "random_churn_plan",
+    ),
+})

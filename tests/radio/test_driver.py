@@ -19,11 +19,11 @@ class TestStates:
         radio = Radio(sim, medium, 1, (0.0, 0.0), params)
         radio.start_receive()
         assert radio.state is RadioState.RX
-        assert radio.rx_params == params
+        assert radio.rx_params_throughout(sim.now, sim.now) == params
 
     def test_rx_params_none_outside_rx(self, sim, medium, params):
         radio = Radio(sim, medium, 1, (0.0, 0.0), params)
-        assert radio.rx_params is None
+        assert radio.rx_params_throughout(sim.now, sim.now) is None
 
     def test_sleep_and_standby(self, sim, medium, params):
         radio = Radio(sim, medium, 1, (0.0, 0.0), params)

@@ -33,23 +33,12 @@ def plant_route(node, *, address, via, metric, now):
     """Bypass the protocol and write a raw routing-table row (the only
     way to create states the implementation itself cannot reach).
 
-    Deliberately skips the change hook/version bump on both table
-    implementations so the planted inconsistency is first seen by the
-    audit, not by the per-event checks."""
-    table = node.table
-    if hasattr(table, "_routes"):  # scalar reference
-        table._routes[address] = RouteEntry(
-            address=address, via=via, metric=metric, role=0, updated_at=now
-        )
-        return
-    slot = table._slot_of(address)
-    if slot < 0:
-        table._append_row(address, via, metric, 0, now, float("nan"))
-    else:
-        table._via[slot] = via
-        table._metric[slot] = metric
-        table._role[slot] = 0
-        table._updated[slot] = now
+    Deliberately skips the change hook/version bump so the planted
+    inconsistency is first seen by the audit, not by the per-event
+    checks."""
+    node.table._routes[address] = RouteEntry(
+        address=address, via=via, metric=metric, role=0, updated_at=now
+    )
 
 
 class TestLifecycle:
