@@ -18,9 +18,10 @@ The paper motivates mesh routing against the two obvious alternatives:
 
 All of them build on :class:`repro.net.api.Network` (the identical
 kernel/PHY/medium/radio substrate), transmit through the mesh's
-:class:`repro.net.pump.TxPump`, and take their radio parameters and
-regional rules from the same ``MesherConfig``, so benchmark differences
-isolate the protocol, not the substrate.
+:class:`repro.net.pump.TxPump` from an outbox bounded like the mesh's
+(``send_queue_capacity``, dropping and counting past it), and take their
+radio parameters and regional rules from the same ``MesherConfig``, so
+benchmark differences isolate the protocol, not the substrate.
 """
 
 from repro._lazy import lazy_exports

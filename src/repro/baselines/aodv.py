@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 import struct
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -148,7 +147,7 @@ class AodvNode:
         self.pump = TxPump(
             sim,
             self.radio,
-            PacketQueue(sys.maxsize),
+            PacketQueue(config.send_queue_capacity),
             self.stats,
             region=config.region,
             strict=config.strict_duty_cycle,
@@ -175,13 +174,13 @@ class AodvNode:
     # Application API
     # ==================================================================
     def send(self, dst: int, payload: bytes) -> bool:
-        """Send a datagram, discovering a route first if needed."""
+        """Send a datagram, discovering a route first if needed; False
+        when the outbox or the discovery buffer is full and drops it."""
         validate_address(dst)
         self.stats.data_sent += 1
         route = self._fresh_route(dst)
         if route is not None:
-            self._transmit_data(dst, self.address, route.next_hop, payload)
-            return True
+            return self._transmit_data(dst, self.address, route.next_hop, payload)
         # Buffer and (maybe) start discovery.
         queue = self._pending.setdefault(dst, [])
         if len(queue) >= self.BUFFER_CAPACITY:
@@ -323,11 +322,12 @@ class AodvNode:
     # frame carries its intended next hop as a 2-byte body prefix.
     def _transmit_data(
         self, dst: int, src: int, next_hop: int, payload: bytes, *, refresh: bool = False
-    ) -> None:
+    ) -> bool:
         body = struct.pack("<H", next_hop) + payload
-        self.pump.submit(encode_frame(dst, src, TYPE_DATA, self.address, body))
+        queued = self.pump.submit(encode_frame(dst, src, TYPE_DATA, self.address, body))
         if refresh:
             self._touch_route(dst)
+        return queued
 
     @staticmethod
     def _split_hop(body: bytes):

@@ -14,7 +14,6 @@ sequence number and TTL)::
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -102,7 +101,7 @@ class FloodingNode:
         self.pump = TxPump(
             sim,
             self.radio,
-            PacketQueue(sys.maxsize),
+            PacketQueue(config.send_queue_capacity),
             self.stats,
             region=config.region,
             strict=config.strict_duty_cycle,
@@ -128,13 +127,13 @@ class FloodingNode:
 
     # ------------------------------------------------------------------
     def send(self, dst: int, payload: bytes) -> bool:
-        """Flood ``payload`` towards ``dst`` (or BROADCAST_ADDRESS)."""
+        """Flood ``payload`` towards ``dst`` (or BROADCAST_ADDRESS);
+        False when the outbox is full and drops it."""
         frame = FloodFrame(dst=dst, src=self.address, seq=self._seq, ttl=self.ttl, payload=payload)
         self._seq = (self._seq + 1) % 0x10000
         self._remember((frame.src, frame.seq))
         self.originated += 1
-        self.pump.submit(encode_flood(frame))
-        return True
+        return self.pump.submit(encode_flood(frame))
 
     def receive(self) -> Optional[AppMessage]:
         """Pop the next delivered message, or None."""

@@ -13,7 +13,6 @@ apples.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro.medium.channel import Medium
@@ -55,7 +54,7 @@ class _StarEndpoint:
         self.pump = TxPump(
             sim,
             self.radio,
-            PacketQueue(sys.maxsize),
+            PacketQueue(config.send_queue_capacity),
             self.stats,
             region=config.region,
             strict=config.strict_duty_cycle,
@@ -128,11 +127,11 @@ class StarEndNode(_StarEndpoint):
 
     def send(self, dst: int, payload: bytes) -> bool:
         """Send to ``dst`` through the gateway (LoRaWAN has no node-to-node
-        path, so even neighbour traffic takes two hops)."""
+        path, so even neighbour traffic takes two hops); False when the
+        outbox is full and drops it."""
         packet = DataPacket(dst=dst, src=self.address, via=self.gateway_address, payload=payload)
         self.originated += 1
-        self.pump.submit(serialization.encode(packet))
-        return True
+        return self.pump.submit(serialization.encode(packet))
 
     def _on_frame(self, rx: ReceivedFrame) -> None:
         if not rx.crc_ok:

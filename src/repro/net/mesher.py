@@ -174,9 +174,11 @@ class MesherNode:
         # None and cost one attribute load when unused.  They survive
         # recover() because the recreated table's on_change still points
         # at _route_changed, which fans out to on_route_event.
-        #: ``(packet, decision, previous_hop)`` after every via-packet
-        #: classification (previous_hop is the simulator-side transmitter
-        #: id, -1 when unknown).
+        #: ``(packet, decision, previous_hop)`` after a via-packet is
+        #: classified FORWARD or NO_ROUTE (previous_hop is the
+        #: simulator-side transmitter id, -1 when unknown).  Deliveries
+        #: reach observers through ``on_app_delivery``; overhears reach
+        #: none, so neither is dispatched here.
         self.on_forward_decision: Optional[Callable[[Packet, object, int], None]] = None
         #: ``(kind, entry)`` mirrored from the routing table's change
         #: hook (kind in {"added", "updated", "removed"}).
@@ -363,11 +365,16 @@ class MesherNode:
 
     def _handle_via_packet(self, packet, *, previous_hop: int = -1) -> None:
         decision = classify(packet, self.address, self.table, previous_hop=previous_hop)
+        action = decision.action
+        if action is ForwardAction.DELIVER:
+            self._deliver(packet)
+            return
+        if action is ForwardAction.OVERHEAR:
+            self.stats.overheard += 1
+            return
         if self.on_forward_decision is not None:
             self.on_forward_decision(packet, decision, previous_hop)
-        if decision.action is ForwardAction.DELIVER:
-            self._deliver(packet)
-        elif decision.action is ForwardAction.FORWARD:
+        if action is ForwardAction.FORWARD:
             assert decision.outgoing is not None
             self.stats.data_forwarded += 1
             if decision.ping_pong:
@@ -387,11 +394,9 @@ class MesherNode:
                 else:
                     trace.record(self.sim.now, self.address, EventKind.DATA_FORWARDED)
             self.enqueue(decision.outgoing)
-        elif decision.action is ForwardAction.NO_ROUTE:
+        else:  # NO_ROUTE
             self.stats.no_route_drops += 1
             self._record(EventKind.DATA_NO_ROUTE, src=packet.src, dst=packet.dst)
-        else:  # OVERHEAR
-            self.stats.overheard += 1
 
     def _deliver(self, packet) -> None:
         if isinstance(packet, DataPacket):

@@ -93,10 +93,9 @@ class RoutingTable:
         self.snr_tiebreak_db = snr_tiebreak_db
         self._on_change = on_change
         self._routes: Dict[int, RouteEntry] = {}
-        #: Monotonic counter bumped whenever the advertised view of the
-        #: table — the (address, metric, role) rows — may have changed.
-        #: Consumers (the hello service) use it to reuse built ROUTING
-        #: packets across beacons while the table is stable.
+        #: Monotonic counter bumped whenever a route may have been added
+        #: or removed, or a route's via, metric or role changed (see
+        #: :attr:`version`).
         self._version: int = 0
 
     # ------------------------------------------------------------------
@@ -310,9 +309,16 @@ class RoutingTable:
 
     @property
     def version(self) -> int:
-        """Counter that advances whenever the advertised rows (address,
-        metric, role) may have changed.  Timestamp-only refreshes do not
-        bump it, so a stable table keeps a stable version."""
+        """Counter that advances whenever a route is added or removed, or
+        a route's via, metric or role changes.  Timestamp and hello-SNR
+        refreshes do not bump it, so a stable table keeps a stable
+        version.
+
+        Two consumers rely on it: the hello service reuses its built
+        ROUTING packets while it holds, and
+        :meth:`~repro.verify.invariants.InvariantChecker.audit` skips
+        re-checking a table set it found clean while it holds.  Code that
+        writes ``_routes`` or a route's fields directly must move it."""
         return self._version
 
     def destinations(self) -> List[int]:

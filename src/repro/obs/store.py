@@ -111,6 +111,11 @@ CREATE INDEX IF NOT EXISTS idx_events_kind ON events (kind, t);
 CREATE INDEX IF NOT EXISTS idx_events_node ON events (node, t);
 """
 
+# The writer's SQLite page cache, in KiB.  Its appends touch only the
+# right edge of the rowid tree, so a small cache holds every page they
+# revisit; readers keep SQLite's default (2,000 KiB) for their queries.
+_WRITER_CACHE_KIB = 64
+
 
 @dataclass(frozen=True)
 class StoredEvent:
@@ -168,6 +173,7 @@ class EventStore:
             self._conn = sqlite3.connect(self.path, timeout=5.0)
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(f"PRAGMA cache_size=-{_WRITER_CACHE_KIB}")
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
@@ -707,21 +713,19 @@ class StoreRecorder:
 
     def _on_forward_decision(self, node, packet, decision, previous_hop) -> None:
         # Hand-encoded like the route path, keys sorted: one call per
-        # received data frame.
-        action = decision.action
-        if action is ForwardAction.FORWARD:
+        # forwarded or unroutable data frame (the node dispatches no
+        # other decision; deliveries land as KIND_DELIVERY).
+        if decision.action is ForwardAction.FORWARD:
             data = (
                 f'{{"action": "forward", "dst": {packet.dst}, '
                 f'"next_hop": {decision.next_hop}, '
                 f'"packet": "{type(packet).__name__}", "src": {packet.src}}}'
             )
-        elif action is ForwardAction.NO_ROUTE:
+        else:
             data = (
                 f'{{"action": "no_route", "dst": {packet.dst}, '
                 f'"packet": "{type(packet).__name__}", "src": {packet.src}}}'
             )
-        else:
-            return  # deliveries land as KIND_DELIVERY; overhears are noise
         self.store.append_encoded(
             self.net.sim.now, KIND_FORWARD, data, node=node.address, wall=self._wall()
         )

@@ -5,7 +5,7 @@ queue counter, and duty-cycle ledger at once.  :class:`InvariantChecker`
 exploits that omniscience to audit the protocol's global invariants
 while a scenario runs — as an *observer* tapping the node hooks
 (``on_route_event``, ``on_forward_decision``, ``reliable.on_deliver``;
-see :mod:`repro.sim.taps`) plus a periodic full audit.  It never
+see :mod:`repro.sim.taps`) plus a periodic global audit.  It never
 mutates protocol state, so an audited run is bit-identical to an
 unaudited one.
 
@@ -145,6 +145,17 @@ class _Persistence:
     last_detail: str = ""
 
 
+def _same_tables(kept: Optional[List[Tuple[MesherNode, object, int]]],
+                tables: List[Tuple[MesherNode, object, int]]) -> bool:
+    """Whether ``tables`` lists the same nodes, holding the same table
+    objects at the same versions, as ``kept`` (objects compared by
+    identity)."""
+    return kept is not None and len(kept) == len(tables) and all(
+        node is now_node and table is now_table and version == now_version
+        for (node, table, version), (now_node, now_table, now_version) in zip(kept, tables)
+    )
+
+
 #: Exactly-once ledger size below which it is never swept.
 _LEDGER_MIN_CAP = 4096
 
@@ -234,7 +245,7 @@ class InvariantChecker:
         checker = InvariantChecker(net, registry=registry)
         checker.attach()          # taps + periodic audit
         net.run(for_s=3600)
-        checker.audit()           # one final sweep
+        checker.audit()           # one final audit
         checker.assert_clean()    # raise if anything broke
 
     ``strict`` defaults to the ``REPRO_STRICT_INVARIANTS`` environment
@@ -291,6 +302,9 @@ class InvariantChecker:
         self._stream_next: Dict[Tuple[int, int, int, bool], int] = {}
         self._counters: Dict[Invariant, object] = {}
         self._taps: List[Tap] = []
+        # (node, table, version) of each live node at the last complete
+        # sweep that found nothing; None after any other sweep.
+        self._clean: Optional[List[Tuple[MesherNode, object, int]]] = None
         if registry is not None:
             self.bind_registry(registry)
 
@@ -426,7 +440,7 @@ class InvariantChecker:
             )
 
     def _on_forward_decision(self, node: MesherNode, packet, decision, previous_hop: int) -> None:
-        if getattr(decision, "ping_pong", False):
+        if decision.ping_pong:
             self._observe("ping_pong")
 
     def _on_reliable_delivery(self, node: MesherNode, src: int, seq_id: int, kind: str) -> None:
@@ -491,11 +505,17 @@ class InvariantChecker:
         """Run every global check once; returns violations found *by
         this call* (also appended to :attr:`violations`).
 
-        One sweep reads every live node's whole table.  The table pass
+        A sweep reads every live node's whole table.  The table pass
         checks each (node, destination) entry once; the loop phase then
         resolves every pair's next-hop chain once, through a memo per
         destination, and revisits only the pairs whose chain breaks or
-        cycles.
+        cycles.  Both phases read nothing but the live nodes' tables, and
+        a sweep that finds nothing leaves no live pair in either graced
+        ledger.  So while the same live nodes hold the same tables at the
+        same versions as at the last complete sweep that found nothing,
+        a sweep would find nothing again and change nothing, and the
+        audit skips both phases.  Conservation and duty are checked on
+        every audit.
         """
         before = len(self.violations)
         live = {
@@ -503,19 +523,32 @@ class InvariantChecker:
             for n in self.net.nodes
             if n.started and n.radio.powered
         }
-        for node in live.values():
-            self._audit_tables(node, live)
-            self._audit_conservation(node)
-            self._audit_duty(node)
-        self._audit_loops(live)
+        tables = [(node, node.table, node.table.version) for node in live.values()]
+        if _same_tables(self._clean, tables):
+            for node in live.values():
+                self._audit_conservation(node)
+                self._audit_duty(node)
+        else:
+            # Kept only once the sweep completes: a strict-mode raise
+            # leaves None.
+            self._clean = None
+            found = False
+            for node in live.values():
+                found = self._audit_tables(node, live) or found
+                self._audit_conservation(node)
+                self._audit_duty(node)
+            if not self._audit_loops(live) and not found:
+                self._clean = tables
         self.audits_run += 1
         return self.violations[before:]
 
-    def _audit_tables(self, node: MesherNode, live: Dict[int, MesherNode]) -> None:
+    def _audit_tables(self, node: MesherNode, live: Dict[int, MesherNode]) -> bool:
         """Per-entry checks in table order: sanity, via-consistency and
         monotonicity, building a violation only once a cheap test fails.
         Tables are read through their route dicts: the audit touches
-        every pair, and the checker only reads."""
+        every pair, and the checker only reads.  Returns whether any
+        entry failed a check."""
+        found = False
         address = node.address
         routes = node.table._routes
         max_metric = node.table.max_metric
@@ -525,10 +558,12 @@ class InvariantChecker:
             metric = entry.metric
             via = entry.via
             if not 1 <= metric <= max_metric or (metric == 1) != (via == dst):
+                found = True
                 self._check_entry_sanity(node, entry)
             # Via-consistency: next hop must be a live direct neighbour.
             via_entry = routes.get(via)
             if via_entry is None or via_entry.metric != 1 or via_entry.via != via_entry.address:
+                found = True
                 self._violate(
                     Invariant.VIA_CONSISTENCY,
                     address,
@@ -542,9 +577,11 @@ class InvariantChecker:
                 via_node = live.get(via)
                 downstream = None if via_node is None else via_node.table._routes.get(dst)
                 if downstream is not None and downstream.metric >= metric:
+                    found = True
                     self._non_monotone(node, entry, downstream)
                 elif monotone_seen:
                     monotone_seen.pop((address, dst), None)
+        return found
 
     def _non_monotone(self, node: MesherNode, entry, downstream) -> None:
         key = (node.address, entry.address)
@@ -566,24 +603,25 @@ class InvariantChecker:
             )
             del self._monotone_seen[key]
 
-    def _audit_loops(self, live: Dict[int, MesherNode]) -> None:
+    def _audit_loops(self, live: Dict[int, MesherNode]) -> bool:
         """Count chain breaks and grade cycles, in node-major,
         destination-sorted order, for the pairs whose chain breaks or
-        cycles."""
+        cycles.  Returns whether there was any."""
         now = self.sim.now
         seen_this_audit = set()
-        for node, dst, fate in _broken_chains(live):
+        broken = _broken_chains(live)
+        for node, dst, fate in broken:
             if fate == _BREAK:
                 # A downstream hop has no route: frames on that chain
                 # drop, they do not loop.
                 self._observe("chain_break")
                 continue
-            cycle = self._walk(node, dst, live)
             if dst not in live:
                 # Ghost destination: the mesh is counting a dead node
                 # to infinity — expected debris, never a violation.
                 self._observe("loop_ghost")
                 continue
+            cycle = self._walk(node, dst, live)
             self._observe("loop_transient")
             key = (node.address, dst)
             seen_this_audit.add(key)
@@ -606,6 +644,7 @@ class InvariantChecker:
         for key in list(self._loop_seen):
             if key not in seen_this_audit:
                 del self._loop_seen[key]
+        return bool(broken)
 
     def _walk(
         self, origin: MesherNode, dst: int, live: Dict[int, MesherNode]

@@ -3,7 +3,7 @@ radio parameters, and a pump that leaves a powered-off radio alone."""
 
 import pytest
 
-from repro.baselines.aodv import AodvNetwork
+from repro.baselines.aodv import AodvNetwork, AodvNode
 from repro.baselines.flooding import FloodingNetwork
 from repro.baselines.star import StarNetwork
 from repro.net.config import MesherConfig
@@ -45,3 +45,17 @@ def test_pump_leaves_a_powered_off_radio_alone(build):
     source.radio.power_off()
     net.run(for_s=5.0)
     assert source.radio.frames_sent == 0
+
+
+@pytest.mark.parametrize("build", [_flooding, _star, _aodv], ids=["flooding", "star", "aodv"])
+def test_outbox_holds_the_send_queue_capacity_and_counts_drops(build):
+    net = build()
+    source = net.node(net.addresses[0])
+    dst = net.addresses[-1]
+    if isinstance(source, AodvNode):
+        source._learn_route(dst, net.addresses[1], 2)  # every send goes to the pump
+    capacity = MesherConfig().send_queue_capacity
+    accepted = [source.send(dst, b"burst") for _ in range(capacity + 3)]
+    assert accepted == [True] * capacity + [False] * 3
+    assert len(source.pump.outbox) == capacity
+    assert source.pump.outbox.dropped == 3

@@ -5,10 +5,13 @@ import pytest
 from repro.net.addresses import BROADCAST_ADDRESS
 from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
+from repro.net.forwarding import ForwardAction
 from repro.net.mesher import AppMessage, MesherNode
+from repro.net.packets import DataPacket
 from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.regions import US915
 from repro.radio.states import RadioState
+from repro.sim.taps import tap
 from repro.topology.placement import line_positions
 from repro.trace.events import EventKind
 
@@ -159,6 +162,36 @@ class TestMultiHop:
         net.run(for_s=60.0)
         assert net.trace.count(EventKind.DATA_FORWARDED) == 1
         assert net.trace.count(EventKind.DATA_DELIVERED) == 1
+
+    def test_forward_hook_sees_only_forward_and_no_route(self):
+        net = MeshNetwork.from_positions(line_positions(3), config=FAST)
+        net.run_until_converged(timeout_s=1200.0)
+        a, b, c = net.nodes
+        seen = []
+        for node in net.nodes:
+            tap(node, "on_forward_decision",
+                lambda packet, decision, previous_hop, node=node: seen.append(
+                    (node.address, decision.action, decision.ping_pong, previous_hop)))
+        # Over the air: b forwards, c delivers, a overhears b's forward.
+        a.send_datagram(c.address, b"across")
+        net.run(for_s=60.0)
+        assert c.receive().payload == b"across"
+        assert a.stats.overheard >= 1
+        assert seen == [(b.address, ForwardAction.FORWARD, False, a.address)]
+        seen.clear()
+        # Straight into b's handler: a ping-pong forward (the next hop is
+        # the transmitter), a no-route drop, an overhear and a delivery.
+        for packet, previous_hop in (
+            (DataPacket(dst=c.address, src=a.address, via=b.address, payload=b""), c.address),
+            (DataPacket(dst=0x0BAD, src=a.address, via=b.address, payload=b""), a.address),
+            (DataPacket(dst=c.address, src=a.address, via=0x0BEE, payload=b""), a.address),
+            (DataPacket(dst=b.address, src=a.address, via=b.address, payload=b""), a.address),
+        ):
+            b._handle_via_packet(packet, previous_hop=previous_hop)
+        assert seen == [
+            (b.address, ForwardAction.FORWARD, True, c.address),
+            (b.address, ForwardAction.NO_ROUTE, False, a.address),
+        ]
 
     def test_reliable_across_hops(self):
         net = MeshNetwork.from_positions(line_positions(3), config=FAST)

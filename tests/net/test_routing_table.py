@@ -229,6 +229,24 @@ class TestChangeHook:
         assert "updated" in kinds
         assert "removed" in kinds
 
+    def test_via_change_at_equal_metric_moves_version(self):
+        # The audit's clean-table skip reads via-consistency and chains
+        # from the via, which no advertised row carries.
+        t = table(snr_tiebreak_db=3.0)
+        t.set_route(FAR, via=N1, metric=2)
+        before = t.version
+        t.set_route(FAR, via=N2, metric=2)
+        assert (t.get(FAR).via, t.version) == (N2, before + 1)
+        t.set_route(FAR, via=N2, metric=2)
+        assert t.version == before + 1
+        # The SNR tie-break moves an equal-metric route to a stronger hop.
+        t.process_hello(N2, [], now=0.0, snr_db=-10.0)
+        t.process_hello(N1, [], now=0.0, snr_db=0.0)
+        before = t.version
+        t.process_hello(N1, [RoutingEntry(address=FAR, metric=1)], now=1.0, snr_db=0.0)
+        assert (t.get(FAR).via, t.get(FAR).metric) == (N1, 2)
+        assert t.version == before + 1
+
 
 class TestValidation:
     def test_bad_timeout_rejected(self):

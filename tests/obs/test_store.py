@@ -348,7 +348,7 @@ class TestStoreRecorder:
         expected = []
         for packet in packets:
             decision = classify(packet, b, middle.table, previous_hop=a)
-            middle.on_forward_decision(packet, decision, a)
+            middle._handle_via_packet(packet, previous_hop=a)
             if decision.action in (ForwardAction.FORWARD, ForwardAction.NO_ROUTE):
                 row = {
                     "action": decision.action.value,

@@ -7,6 +7,11 @@ Both checkers audit the same planted tables — dead radios, foreign vias
 and destinations, chain breaks, cycles, out-of-range metrics — three
 times, with the clock moved past ``loop_grace_s`` so loops escalate, and
 must leave identical observations, violations and graced-state ledgers.
+
+:class:`SweepEveryAudit` is the reference for the skip: it sweeps on
+every audit, while the checker skips the table and loop phases after a
+complete sweep that found nothing, until a live node, a table object or
+a table version changes.
 """
 
 import random
@@ -157,10 +162,14 @@ def quiet_mesh(n, seed):
 def plant_table(node, rng, addresses, now):
     """Replace ``node``'s table with random rows: mostly direct
     neighbours and routes through them, some through foreign or absent
-    vias, some towards foreign destinations, metrics 0-20."""
+    vias, some towards foreign destinations, metrics 0-20.
+
+    Writes behind the change hook, so the per-event checks stay silent,
+    but moves the table's version as every table change does."""
     pool = list(addresses) + list(FOREIGN)
     routes = node.table._routes
     routes.clear()
+    node.table._version += 1
     neighbours = [a for a in pool if a != node.address and rng.random() < 0.4]
     for address in neighbours:
         routes[address] = RouteEntry(address, address, 1, 0, now)
@@ -248,9 +257,181 @@ def test_cycle_detail_names_the_walked_path():
     for node, via in ((a, b), (b, c), (c, b)):
         node.table._routes[via.address] = RouteEntry(via.address, via.address, 1, 0, now)
         node.table._routes[d.address] = RouteEntry(d.address, via.address, 3, 0, now)
+        node.table._version += 1
     checker = InvariantChecker(net, loop_grace_s=5.0, strict=False)
     checker.audit()
     assert checker.observations["loop_transient"] == 3
     assert checker._loop_seen[(a.address, d.address)].last_detail == (
         "cycle towards 0x0004: 0x0001 -> 0x0002 -> 0x0003 -> 0x0002"
     )
+
+
+class SweepEveryAudit(InvariantChecker):
+    """Reference: forgets the clean sweep, so every audit sweeps."""
+
+    def audit(self):
+        self._clean = None
+        return super().audit()
+
+
+def counting_sweeps(checker):
+    """The set of ``checker``'s audits, numbered from 0, that swept the
+    tables rather than skipping them."""
+    audits, swept = [], set()
+    audit, audit_tables = checker.audit, checker._audit_tables
+
+    def counted_audit():
+        audits.append(None)
+        return audit()
+
+    def counted_tables(node, live):
+        swept.add(len(audits) - 1)
+        return audit_tables(node, live)
+
+    checker.audit = counted_audit
+    checker._audit_tables = counted_tables
+    return swept
+
+
+def checker_pair(net, strict=False):
+    """A checker beside a reference that sweeps on every audit."""
+    return (
+        SweepEveryAudit(net, loop_grace_s=5.0, strict=strict),
+        InvariantChecker(net, loop_grace_s=5.0, strict=strict),
+    )
+
+
+def plant_line(net):
+    """Give every node the routes of a converged line in ``net.nodes``
+    order: each other node, through the neighbour towards it, at its hop
+    distance.  A sweep finds nothing in these tables."""
+    nodes = net.nodes
+    for i, node in enumerate(nodes):
+        routes = node.table._routes
+        routes.clear()
+        node.table._version += 1
+        for j, other in enumerate(nodes):
+            if j != i:
+                via = nodes[i + 1 if j > i else i - 1].address
+                routes[other.address] = RouteEntry(other.address, via, abs(i - j), 0, net.sim.now)
+
+
+def plant_foreign_row(node, now):
+    """A route towards a foreign address through a foreign via, which
+    the audit reports as a via-consistency violation."""
+    node.table._routes[FOREIGN[0]] = RouteEntry(FOREIGN[0], FOREIGN[1], 2, 0, now)
+    node.table._version += 1
+
+
+def audit_alike(net, reference, checker, strict=False):
+    """Move the clock 6 s, audit both, and compare their state."""
+    net.sim.run(until=net.sim.now + 6.0)
+    audit_both(reference, checker, strict)
+    assert state_of(checker) == state_of(reference)
+
+
+def test_only_a_clean_sweep_is_skipped_while_tables_hold():
+    for seed in range(40):
+        rng = random.Random(seed)
+        net = quiet_mesh(6, seed)
+        addresses = [node.address for node in net.nodes]
+        for node in net.nodes:
+            plant_table(node, rng, addresses, net.sim.now)
+        reference, checker = checker_pair(net)
+        sweeps = counting_sweeps(checker)
+        # Tables with findings: every audit sweeps, and the clock passes
+        # both grace windows, so graced findings escalate.
+        for _ in range(3):
+            audit_alike(net, reference, checker)
+        assert reference.violations and reference.observations
+        # Clean tables: the first audit sweeps, the next ones skip.
+        plant_line(net)
+        for _ in range(3):
+            audit_alike(net, reference, checker)
+        # A chain break is a loop-phase finding alone: the table phase
+        # passes, and every audit sweeps again.
+        breaks = reference.observations.get("chain_break", 0)
+        middle = rng.choice(net.nodes[1:-1])
+        del middle.table._routes[net.nodes[-1].address]
+        middle.table._version += 1
+        for _ in range(2):
+            audit_alike(net, reference, checker)
+        assert reference.observations["chain_break"] > breaks
+        assert sweeps == {0, 1, 2, 3, 6, 7}
+
+
+def test_a_radio_switched_off_or_on_changes_the_live_set():
+    for seed in range(20):
+        rng = random.Random(seed)
+        net = quiet_mesh(6, seed)
+        plant_line(net)
+        first, second = rng.sample(net.nodes, 2)
+        plant_foreign_row(first, net.sim.now)
+        # Every table at one version: neither the versions of all nodes
+        # nor those of the live ones tell the audits below apart.
+        top = max(node.table.version for node in net.nodes)
+        for node in net.nodes:
+            node.table._version = top
+        reference, checker = checker_pair(net)
+        sweeps = counting_sweeps(checker)
+        first.radio.power_off()
+        audit_alike(net, reference, checker)
+        audit_alike(net, reference, checker)
+        assert not reference.violations
+        # Same number of live nodes, same versions; only the live set
+        # differs, and it puts the foreign row in the sweep.
+        first.radio.power_on()
+        second.radio.power_off()
+        audit_alike(net, reference, checker)
+        assert reference.violations
+        second.radio.power_on()
+        audit_alike(net, reference, checker)
+        assert sweeps == {0, 2, 3}
+
+
+def test_a_recovered_node_holds_a_new_table():
+    for seed in range(20):
+        rng = random.Random(seed)
+        net = quiet_mesh(6, seed)
+        plant_line(net)
+        reference, checker = checker_pair(net)
+        sweeps = counting_sweeps(checker)
+        audit_alike(net, reference, checker)
+        audit_alike(net, reference, checker)
+        node = rng.choice(net.nodes)
+        before = node.table
+        node.fail()
+        node.recover()
+        node.hello.stop()
+        plant_foreign_row(node, net.sim.now)
+        # The fresh table at its predecessor's version: only the table
+        # object tells the two apart.
+        node.table._version = before.version
+        assert node.table is not before
+        audit_alike(net, reference, checker)
+        assert reference.violations
+        audit_alike(net, reference, checker)
+        assert sweeps == {0, 2, 3}
+
+
+def test_a_sweep_that_raised_is_not_kept():
+    for bad in range(6):
+        net = quiet_mesh(6, bad)
+        plant_line(net)
+        # The sweep raises at this node, after the tables before it
+        # passed; the loop phase never runs.
+        plant_foreign_row(net.nodes[bad], net.sim.now)
+        reference, checker = checker_pair(net, strict=True)
+        sweeps = counting_sweeps(checker)
+        audit_alike(net, reference, checker, strict=True)
+        assert len(reference.violations) == 1
+        # Unchanged tables, now counted: the audit sweeps and finds the
+        # row again.
+        checker.strict = reference.strict = False
+        audit_alike(net, reference, checker)
+        audit_alike(net, reference, checker)
+        assert len(reference.violations) == 3
+        plant_line(net)
+        audit_alike(net, reference, checker)
+        audit_alike(net, reference, checker)
+        assert sweeps == {0, 1, 2, 3}

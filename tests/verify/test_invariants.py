@@ -33,12 +33,14 @@ def plant_route(node, *, address, via, metric, now):
     """Bypass the protocol and write a raw routing-table row (the only
     way to create states the implementation itself cannot reach).
 
-    Deliberately skips the change hook/version bump so the planted
-    inconsistency is first seen by the audit, not by the per-event
-    checks."""
+    Deliberately skips the change hook so the planted inconsistency is
+    first seen by the audit, not by the per-event checks.  It still
+    moves the table's version, as every table change does, so the audit
+    does not replay what it found in the table before."""
     node.table._routes[address] = RouteEntry(
         address=address, via=via, metric=metric, role=0, updated_at=now
     )
+    node.table._version += 1
 
 
 class TestLifecycle:
@@ -144,6 +146,7 @@ class TestFlips:
         # c forgets d while a and b still route through it: (b, d) breaks
         # at its first hop and (a, d) one hop further down.
         del c.table._routes[d.address]
+        c.table._version += 1  # behind the change hook, so move it here
         checker = InvariantChecker(net, strict=False)
         checker.audit()
         assert checker.observations["chain_break"] == 2
