@@ -133,6 +133,11 @@ _ReachableEntry = Dict[int, LinkQuality]
 _INTERFERENCE_GUARD_DB = 1e-3
 
 
+def _tuning_key(params: LoRaParams) -> tuple:
+    """Exact match on the fields :func:`_params_compatible` reads."""
+    return (int(params.spreading_factor), int(params.bandwidth), params.frequency_mhz)
+
+
 def _params_compatible(tx_params: LoRaParams, rx_params: LoRaParams) -> bool:
     """Whether a receiver tuned to ``rx_params`` demodulates ``tx_params``."""
     return (
@@ -222,7 +227,7 @@ class Medium:
         self._rx_entries: Deque[Tuple[float, int]] = deque()
         self._compat_counts: Dict[tuple, int] = {}
         self._compat_reps: Dict[tuple, LoRaParams] = {}
-        self._listener_key: Dict[int, tuple] = {}
+        self._listener_params: Dict[int, LoRaParams] = {}
         # Listener snapshot reused across completions; rebuilt only after
         # an attach/detach (deliver callbacks may mutate the listener map
         # mid-resolution, which must not disturb the in-progress loop).
@@ -372,13 +377,27 @@ class Medium:
         rx_since: Optional[float],
         params: Optional[LoRaParams],
     ) -> None:
-        # Tuning key: exact match on the fields _params_compatible reads.
-        key = (
-            None
-            if params is None
-            else (int(params.spreading_factor), int(params.bandwidth), params.frequency_mhz)
-        )
-        old_key = self._listener_key.get(node_id)
+        # Every RX/TX switch keeps the radio's params object, so only a
+        # retune, an attach or a detach touches the tuning counts.
+        old_params = self._listener_params.get(node_id)
+        if params is not old_params:
+            self._retune(node_id, old_params, params)
+        if rx_since is None:
+            self._rx_since[node_id] = None
+            self._not_in_rx.add(node_id)
+        else:
+            self._rx_since[node_id] = rx_since
+            self._not_in_rx.discard(node_id)
+            self._rx_entries.append((rx_since, node_id))
+
+    def _retune(
+        self,
+        node_id: int,
+        old_params: Optional[LoRaParams],
+        params: Optional[LoRaParams],
+    ) -> None:
+        old_key = None if old_params is None else _tuning_key(old_params)
+        key = None if params is None else _tuning_key(params)
         if key != old_key:
             if old_key is not None:
                 count = self._compat_counts[old_key] - 1
@@ -393,16 +412,10 @@ class Medium:
                 else:
                     self._compat_counts[key] = 1
                     self._compat_reps[key] = params  # type: ignore[assignment]
-                self._listener_key[node_id] = key
-            else:
-                self._listener_key.pop(node_id, None)
-        if rx_since is None:
-            self._rx_since[node_id] = None
-            self._not_in_rx.add(node_id)
+        if params is None:
+            del self._listener_params[node_id]
         else:
-            self._rx_since[node_id] = rx_since
-            self._not_in_rx.discard(node_id)
-            self._rx_entries.append((rx_since, node_id))
+            self._listener_params[node_id] = params
 
     @property
     def link_budget(self) -> LinkBudget:

@@ -22,7 +22,8 @@ shared module-level objects; only FORWARD builds a fresh decision.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Optional, Union
 
 from repro.net.addresses import BROADCAST_ADDRESS
@@ -105,15 +106,38 @@ def classify(
     )
 
 
+def _with_via(cls):
+    """``cls``'s constructor called with every field of a packet as is
+    but ``via``: what ``dataclasses.replace(packet, via=...)`` builds,
+    without walking the fields by name on every forward.  The field order
+    is read off the class once, so a field added later is copied too."""
+    names = tuple(f.name for f in fields(cls))
+    values_of = attrgetter(*names)
+    at = names.index("via")
+
+    def with_via(packet, via):
+        values = list(values_of(packet))
+        values[at] = via
+        return cls(*values)
+
+    return with_via
+
+
+_VIA_CLASSES = (DataPacket, NeedAckPacket, AckPacket, LostPacket, SyncPacket, XLDataPacket)
+_WITH_VIA = {cls: _with_via(cls) for cls in _VIA_CLASSES}
+
+
 def rewrite_via(packet: ViaPacket, next_hop: int) -> ViaPacket:
     """A copy of ``packet`` with the via field set to ``next_hop``.
 
     Source and destination are untouched — the mesh forwards end-to-end
-    packets, it does not re-originate them.
+    packets, it does not re-originate them.  A subclass of a via-packet
+    class keeps its class and fields through ``dataclasses.replace``.
     """
-    if isinstance(
-        packet, (DataPacket, NeedAckPacket, AckPacket, LostPacket, SyncPacket, XLDataPacket)
-    ):
+    with_via = _WITH_VIA.get(type(packet))
+    if with_via is not None:
+        return with_via(packet, next_hop)
+    if isinstance(packet, _VIA_CLASSES):
         return replace(packet, via=next_hop)
     raise TypeError(f"cannot rewrite via on {type(packet).__name__}")
 

@@ -337,10 +337,10 @@ class MesherNode:
                     rssi=round(frame.rssi_dbm, 1),
                 )
             else:
-                # Counter-only fast path: skip building the detail dict
-                # the disabled recorder would throw away (this runs for
-                # every received frame in trace-less benchmark runs).
-                trace.record(self.sim.now, self.address, EventKind.FRAME_RECEIVED)
+                # Counter-only fast path: no clock read and no detail
+                # dict (this runs for every received frame in trace-less
+                # benchmark runs).
+                trace.tally(EventKind.FRAME_RECEIVED)
         if isinstance(packet, RoutingPacket):
             self._handle_routing(packet, frame)
             return
@@ -358,7 +358,7 @@ class MesherNode:
                     entries=len(packet.entries),
                 )
             else:
-                trace.record(self.sim.now, self.address, EventKind.HELLO_RECEIVED)
+                trace.tally(EventKind.HELLO_RECEIVED)
         self.table.process_hello(
             packet.src, packet.entries, self.sim.now, snr_db=frame.snr_db
         )
@@ -392,7 +392,7 @@ class MesherNode:
                         next_hop=decision.next_hop,
                     )
                 else:
-                    trace.record(self.sim.now, self.address, EventKind.DATA_FORWARDED)
+                    trace.tally(EventKind.DATA_FORWARDED)
             self.enqueue(decision.outgoing)
         else:  # NO_ROUTE
             self.stats.no_route_drops += 1
@@ -466,7 +466,7 @@ class MesherNode:
                 metric=entry.metric,
             )
         else:
-            trace.record(self.sim.now, self.address, event)
+            trace.tally(event)
 
     def _record(self, kind: EventKind, **detail) -> None:
         if self.trace is not None:

@@ -178,8 +178,7 @@ class TxPump:
                     airtime_ms=round(airtime * 1000, 3),
                 )
             else:
-                # Counter-only fast path: no detail dict to throw away.
-                trace.record(now, radio.node_id, EventKind.FRAME_SENT)
+                trace.tally(EventKind.FRAME_SENT)
 
     def _drop(self, item: Any, reason: str) -> None:
         self.outbox.pop()

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import struct
-from typing import Tuple
+from operator import attrgetter
+from typing import Tuple, get_type_hints
 
 from repro.net import packets as pk
 from repro.net.packets import (
@@ -55,28 +56,72 @@ def _evict_oldest_half(cache: dict) -> None:
 def encode(packet: Packet) -> bytes:
     """Serialize a packet to its over-the-air bytes.
 
-    A ROUTING packet also seeds the :func:`decode` memo with itself when
-    its bytes are not memoized yet, so every listener of a hello beacon
-    shares the sender's packet object instead of a decoded copy.  Only a
-    packet equal to what the decoder would build is seeded: exactly a
-    :class:`RoutingPacket` typed ROUTING with no address-0 row (the one
-    row check the decoder adds).  An equal buffer already memoized keeps
-    its object, so every listener of a beacon content gets one packet,
-    even when the sender rebuilt an unchanged chunk.
+    The packet also seeds the :func:`decode` memo with itself when its
+    bytes are not memoized yet and the decoder would rebuild it exactly
+    (see :func:`_rebuilt_exactly`), so every listener of a frame shares
+    the sender's packet object instead of parsing a copy: a beacon's
+    listeners merge its ``entries`` straight, a data frame's listeners
+    classify and forward the packet the sender queued.  An equal buffer
+    already memoized keeps its object, so every listener of one content
+    gets one packet, even when the sender rebuilt it (an unchanged hello
+    chunk, a retransmission).
 
     Nothing is memoized by packet identity: few encodes repeat a packet
     object (a reused hello, a retransmission), and such a memo would pin
     every packet it keys.
     """
     buffer = _encode(packet)
-    if (
-        type(packet) is RoutingPacket
-        and buffer not in _DECODE_CACHE
-        and packet.type is PacketType.ROUTING
-        and all(entry.address for entry in packet.entries)
-    ):
+    if buffer not in _DECODE_CACHE and _rebuilt_exactly(packet):
         _memoize_decode(buffer, packet)
     return buffer
+
+
+def _decoded_shape(cls) -> tuple:
+    """What :func:`_decode` builds for ``cls``, read off the class: its
+    wire type (the ``type`` default), a getter of its int fields, and
+    whether it slices a ``payload`` off the body."""
+    hints = get_type_hints(cls)
+    ints = [name for name, hint in hints.items() if hint is int]
+    return cls.type, attrgetter(*ints), "payload" in hints
+
+
+#: Per packet class the decoder builds, its :func:`_decoded_shape`.
+_DECODED_SHAPES = {
+    cls: _decoded_shape(cls)
+    for cls in (
+        RoutingPacket,
+        DataPacket,
+        NeedAckPacket,
+        AckPacket,
+        LostPacket,
+        SyncPacket,
+        XLDataPacket,
+    )
+}
+
+
+def _rebuilt_exactly(packet: Packet) -> bool:
+    """Whether :func:`_decode` of the packet's bytes builds an identical
+    packet: exactly a class the decoder builds, typed with that class's
+    wire type, every int field a plain ``int``, a ``payload`` of exactly
+    ``bytes``, and (ROUTING) no address-0 row, the one row check the
+    decoder adds.  Anything else (a subclass, a ``bytearray`` payload, a
+    ``bool`` field) is equal on the wire but not what a listener would
+    get, so its listeners parse the bytes."""
+    shape = _DECODED_SHAPES.get(type(packet))
+    if shape is None:
+        return False
+    wire_type, ints_of, has_payload = shape
+    if packet.type is not wire_type:
+        return False
+    for value in ints_of(packet):
+        if type(value) is not int:
+            return False
+    if has_payload:
+        return type(packet.payload) is bytes
+    if wire_type is PacketType.ROUTING:
+        return all(entry.address for entry in packet.entries)
+    return True
 
 
 def _encode(packet: Packet) -> bytes:
@@ -108,20 +153,21 @@ def _encode(packet: Packet) -> bytes:
 
 
 #: Memo for :func:`decode`, keyed by the frame bytes.  Packets are frozen
-#: dataclasses and decoding is pure, so a broadcast frame delivered to k
-#: listeners decodes once instead of k times; :func:`encode` seeds it with
-#: the ROUTING packets it serializes.  Only packets the decoder would
-#: return are cached; malformed buffers re-raise on every call (they are
-#: rare).
+#: dataclasses and decoding is pure, so a frame delivered to k listeners
+#: is one packet object for all of them; :func:`encode` seeds it with
+#: every packet the decoder would rebuild exactly.  Only packets the
+#: decoder would return are cached; malformed buffers re-raise on every
+#: call (they are rare).
 #:
 #: Its working set is the frames on the air, not the run's history: a
-#: beacon goes in when its sender encodes it, any other frame at its first
-#: listener's decode, and all of a frame's listeners decode it in the same
-#: completion call; only a re-send of identical bytes hits it later.
-#: On instance 0 (seed 1) of the benchmark workloads, caps of 65,536,
-#: 4,096, 1,024 and 256 entries left 14,628, 14,628, 14,680 and 15,227
-#: real decodes of the 7x7 soak's 18,380 frames, and none of the 300-node
-#: cold start's 9,597 (every listener got the sender's beacon).
+#: frame goes in when its sender encodes it, and all of its listeners
+#: decode it in the same completion call, one airtime later; only a
+#: re-send of identical bytes hits it after that.  The cap must outlast
+#: the frames encoded while one frame is on the air.  On instance 0
+#: (seed 1) of the benchmark workloads no frame reaches the parser at
+#: this cap, neither the 7x7 soak's 18,380 frames nor the 300-node cold
+#: start's 9,597; a 9-node mesh carrying flows parses none at a cap of
+#: 16 and one at a cap of 4.
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_MAX = 1_024
 
@@ -130,16 +176,16 @@ def decode(buffer: bytes) -> Packet:
     """Parse over-the-air bytes back into a packet object.
 
     Memoized on the buffer bytes: the returned packet objects are frozen,
-    so callers receiving the same frame share one instance.  A hello
-    beacon's bytes are memoized when the sender encodes them (see
-    :func:`encode`), so its listeners get the sender's own ROUTING packet
-    and the routing table merges straight from its ``entries``; nothing
-    is parsed or copied per beacon.  This is the codec's only memo, and
-    nothing downstream keys on the shared objects' identity.  It holds
-    the frames on the air, which a broadcast's receivers all decode in
-    one completion call, so each frame is decoded once, not once per
-    receiver; older frames are evicted and only an identical re-send
-    much later decodes again.
+    so callers receiving the same frame share one instance.  A frame's
+    bytes are memoized when its sender encodes them (see :func:`encode`),
+    so its listeners get the sender's own packet: the routing table
+    merges a beacon straight from its ``entries``, and nothing is parsed
+    or copied per frame.  This is the codec's only memo, and nothing
+    downstream keys on the shared objects' identity.  It holds the frames
+    on the air; older frames are evicted, and a buffer that was never
+    encoded in this process (a ghost frame from another shard, a
+    corrupted copy) or was evicted before its listeners heard it is
+    parsed once and memoized for the rest of them.
     """
     packet = _DECODE_CACHE.get(buffer)
     if packet is None:

@@ -78,7 +78,10 @@ class Radio:
         self._state_since = sim.now
         self._rx_since: Optional[float] = None
         self._tx_end: Optional[float] = None
-        self._state_time: Dict[RadioState, float] = {s: 0.0 for s in RadioState}
+        # Keyed by the state's value string: _enter runs on every state
+        # change, and member keys would pay a Python-level
+        # Enum.__hash__ twice per change.
+        self._state_time: Dict[str, float] = {s._value_: 0.0 for s in RadioState}
         self._powered = True
 
         #: Protocol callback for every demodulated frame (incl. CRC-bad).
@@ -273,14 +276,14 @@ class Radio:
     # ------------------------------------------------------------------
     def state_times(self) -> Dict[RadioState, float]:
         """Cumulative seconds spent per state, including the current stay."""
-        times = dict(self._state_time)
+        times = {state: self._state_time[state._value_] for state in RadioState}
         times[self._state] += self._sim.now - self._state_since
         return times
 
     # ------------------------------------------------------------------
     def _enter(self, state: RadioState) -> None:
         now = self._sim.now
-        self._state_time[self._state] += now - self._state_since
+        self._state_time[self._state._value_] += now - self._state_since
         self._state = state
         self._state_since = now
         self._rx_since = now if state is RadioState.RX else None

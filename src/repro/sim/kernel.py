@@ -37,73 +37,54 @@ PRIORITY_LOW = 2
 Label = Union[str, Callable[[], str]]
 
 
-class _Event:
-    """Internal event record.
+class EventHandle:
+    """A scheduled event, and the cancellable reference to it.
 
-    The heap itself stores ``(time, priority, seq, event)`` tuples so that
-    heap sift comparisons stay in C (the unique ``seq`` guarantees the
-    tuple comparison never falls through to the event object).
+    Returned by :meth:`Simulator.schedule`: the handle *is* the kernel's
+    event record, so scheduling allocates one object besides the heap
+    entry.  The heap stores ``(time, priority, seq, handle)`` tuples so
+    that heap sift comparisons stay in C (the unique ``seq`` guarantees
+    the tuple comparison never falls through to the handle).
+
+    Cancelling an already-fired or already-cancelled event is a harmless
+    no-op, which lets protocol code unconditionally cancel timers on
+    state transitions.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "fired", "label")
+    __slots__ = ("time", "callback", "cancelled", "fired", "_label", "_sim")
 
     def __init__(
         self,
+        sim: "Simulator",
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[[], None],
         label: Label = "",
     ) -> None:
+        #: Absolute simulated time at which the event will (or did) fire.
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        self.label = label
-
-    def label_str(self) -> str:
-        """Resolve the (possibly lazy) label to a string."""
-        label = self.label
-        return label if isinstance(label, str) else label()
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Returned by :meth:`Simulator.schedule`.  Cancelling an already-fired or
-    already-cancelled event is a harmless no-op, which lets protocol code
-    unconditionally cancel timers on state transitions.
-    """
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator") -> None:
-        self._event = event
+        self._label = label
         self._sim = sim
 
     @property
-    def time(self) -> float:
-        """Absolute simulated time at which the event will (or did) fire."""
-        return self._event.time
-
-    @property
     def label(self) -> str:
-        """Human-readable label attached at scheduling time."""
-        return self._event.label_str()
+        """Human-readable label attached at scheduling time (a lazy label
+        is built here, on read)."""
+        label = self._label
+        return label if isinstance(label, str) else label()
 
     @property
     def active(self) -> bool:
-        """True while the event is still pending (not cancelled, not fired)."""
-        return not self._event.cancelled
+        """True until the event is cancelled (firing does not clear it)."""
+        return not self.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            if not event.fired:
+        if not self.cancelled:
+            self.cancelled = True
+            if not self.fired:
                 self._sim._pending -= 1
 
 
@@ -121,7 +102,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, _Event]] = []
+        self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._running: bool = False
@@ -198,11 +179,11 @@ class Simulator:
         if not callable(callback):
             raise SchedulingError(f"callback {callback!r} is not callable")
         time = self._now + delay
-        event = _Event(time, priority, self._seq, callback, label)
+        event = EventHandle(self, time, callback, label)
         heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
         self._pending += 1
-        return EventHandle(event, self)
+        return event
 
     def schedule_at(
         self,
@@ -217,11 +198,11 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at {time} < now {self._now}")
         if not callable(callback):
             raise SchedulingError(f"callback {callback!r} is not callable")
-        event = _Event(time, priority, self._seq, callback, label)
+        event = EventHandle(self, time, callback, label)
         heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
         self._pending += 1
-        return EventHandle(event, self)
+        return event
 
     def call_soon(self, callback: Callable[[], None], *, label: Label = "") -> EventHandle:
         """Schedule ``callback`` at the current instant, after pending
@@ -250,14 +231,14 @@ class Simulator:
             return True
         return False
 
-    def _execute(self, event: _Event) -> None:
+    def _execute(self, event: EventHandle) -> None:
         profiler = self.profiler
         if profiler is None:
             event.callback()
             return
         start = perf_counter()
         event.callback()
-        profiler.record(event.label_str(), event.callback, perf_counter() - start)
+        profiler.record(event.label, event.callback, perf_counter() - start)
 
     def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> float:
         """Run events until the horizon ``until`` (or queue exhaustion).

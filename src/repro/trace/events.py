@@ -101,6 +101,12 @@ class TraceRecorder:
         if self.on_event is not None:
             self.on_event(event)
 
+    def tally(self, kind: EventKind) -> None:
+        """Count one ``kind`` event without recording it: what
+        :meth:`record` does while disabled, for hot call sites that
+        check :attr:`enabled` first and so build no detail to drop."""
+        self._counts[kind._value_] += 1
+
     def subscribe(self, listener: Callable[[TraceEvent], None]) -> Tap:
         """Call ``listener`` for every recorded event while the recorder
         is enabled (see the listener contract in the class docstring);

@@ -6,7 +6,16 @@ import pytest
 
 from repro.net.addresses import BROADCAST_ADDRESS
 from repro.net.forwarding import ForwardAction, classify, initial_via, rewrite_via
-from repro.net.packets import AckPacket, DataPacket, RoutingEntry, SyncPacket, XLDataPacket
+from repro.net.packets import (
+    AckPacket,
+    DataPacket,
+    LostPacket,
+    NeedAckPacket,
+    PacketType,
+    RoutingEntry,
+    SyncPacket,
+    XLDataPacket,
+)
 from repro.net.routing_table import RoutingTable
 
 ME = 0x0001
@@ -119,6 +128,26 @@ class TestSharedDecisions:
         assert (first.ping_pong, second.ping_pong) == (False, True)
 
 
+class _TaggedAck(AckPacket):
+    """A via-packet subclass: forwarded as itself."""
+
+
+def _every_field_set(cls):
+    """A ``cls`` packet with every field away from its default and from
+    the others, so a rewrite that drops or swaps a field shows."""
+    values = {}
+    for number, f in enumerate(dataclasses.fields(cls), start=0x10):
+        if f.name == "type":
+            values[f.name] = PacketType.LOST if f.default is not PacketType.LOST else PacketType.ACK
+        elif f.type == "bytes":
+            values[f.name] = b"field %d" % number
+        else:
+            values[f.name] = number
+    packet = cls(**values)
+    assert all(getattr(packet, f.name) != f.default for f in dataclasses.fields(cls))
+    return packet
+
+
 class TestRewrite:
     def test_rewrite_preserves_all_other_fields(self):
         original = XLDataPacket(dst=FAR, src=OTHER, via=ME, seq_id=3, number=17, payload=b"frag")
@@ -131,6 +160,17 @@ class TestRewrite:
     def test_rewrite_sync_keeps_total_bytes(self):
         original = SyncPacket(dst=FAR, src=OTHER, via=ME, seq_id=1, number=9, total_bytes=2048)
         assert rewrite_via(original, NEXT).total_bytes == 2048
+
+    @pytest.mark.parametrize(
+        "cls",
+        [DataPacket, NeedAckPacket, AckPacket, LostPacket, SyncPacket, XLDataPacket, _TaggedAck],
+        ids=["data", "need-ack", "ack", "lost", "sync", "xl-data", "subclass"],
+    )
+    def test_rewrite_is_replace_of_via(self, cls):
+        original = _every_field_set(cls)
+        rewritten = rewrite_via(original, NEXT)
+        assert type(rewritten) is cls
+        assert rewritten == dataclasses.replace(original, via=NEXT)
 
     def test_rewrite_unknown_type_raises(self):
         with pytest.raises(TypeError):

@@ -211,7 +211,7 @@ class TestBeaconSharing:
 
 
 class TestBeaconSharingUnderEviction:
-    """The decode memo only has to hold the frames on the air: a beacon is
+    """The decode memo only has to hold the frames on the air: a frame is
     memoized when its sender encodes it and decoded by every listener when
     the frame completes.  With a cap far below the run's distinct frames,
     every listener still gets the sender's packet and the run's outcome
@@ -289,6 +289,10 @@ class TestBeaconSharingUnderEviction:
         fingerprint, memoized, held, decoded_types = self._run(monkeypatch, cap=cap)
         assert len(memoized) > cap  # the memo evicted during the run
         assert max(held) <= cap
-        assert decoded_types  # data frames were decoded...
-        assert PacketType.ROUTING not in decoded_types  # ...but no beacon was
+        # Every frame is seeded at its sender's encode.  At 16 entries no
+        # frame reaches the parser; at 4 a data frame is at times evicted
+        # before all of its listeners heard it, but never a beacon.
+        assert PacketType.ROUTING not in decoded_types
+        if cap >= 16:
+            assert not decoded_types
         assert fingerprint == reference

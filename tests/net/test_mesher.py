@@ -7,7 +7,7 @@ from repro.net.api import MeshNetwork
 from repro.net.config import MesherConfig
 from repro.net.forwarding import ForwardAction
 from repro.net.mesher import AppMessage, MesherNode
-from repro.net.packets import DataPacket
+from repro.net.packets import AckPacket, DataPacket, NeedAckPacket, SyncPacket, XLDataPacket
 from repro.phy.modulation import LoRaParams, SpreadingFactor
 from repro.phy.regions import US915
 from repro.radio.states import RadioState
@@ -202,6 +202,68 @@ class TestMultiHop:
         net.run(for_s=120.0)
         assert outcome == [True]
         assert c.receive().payload == b"important"
+
+
+class TestFrameSharing:
+    """The data-plane twin of ``TestBeaconSharing`` in test_hello.py: every
+    listener of a via-packet frame handles the packet object its
+    transmitter encoded, and no frame is parsed."""
+
+    def test_listeners_handle_the_packet_the_transmitter_encoded(self, monkeypatch):
+        from repro.net import serialization
+        from repro.radio.driver import Radio
+
+        encoded = []  # (buffer, packet) per encode; pins every packet
+        sent = {}  # transmitter address -> the packets it put on the air
+        received = []  # (transmitter, packet) per via-packet handled
+        parsed = []
+        encode, parse = serialization.encode, serialization._decode
+        transmit, handle = Radio.transmit, MesherNode._handle_via_packet
+
+        def recording_encode(packet):
+            buffer = encode(packet)
+            encoded.append((buffer, packet))
+            return buffer
+
+        def recording_transmit(radio, payload):
+            # The pump encodes its head frame, then transmits those bytes.
+            buffer, packet = encoded[-1]
+            assert buffer == payload
+            sent.setdefault(radio.node_id, []).append(packet)
+            return transmit(radio, payload)
+
+        def recording_handle(node, packet, *, previous_hop=-1):
+            received.append((previous_hop, packet))
+            return handle(node, packet, previous_hop=previous_hop)
+
+        def recording_parse(buffer):
+            parsed.append(buffer)
+            return parse(buffer)
+
+        # An equal frame memoized by an earlier network in this process
+        # would keep its object, so start from an empty decode memo.
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
+        monkeypatch.setattr(serialization, "encode", recording_encode)
+        monkeypatch.setattr(serialization, "_decode", recording_parse)
+        monkeypatch.setattr(Radio, "transmit", recording_transmit)
+        monkeypatch.setattr(MesherNode, "_handle_via_packet", recording_handle)
+        net = MeshNetwork.from_positions(line_positions(3), config=FAST, seed=1)
+        net.run_until_converged(timeout_s=1200.0)
+        a, b, c = net.nodes
+        outcomes = []
+        for i in range(3):
+            assert a.send_datagram(c.address, b"datagram %d" % i)
+        assert c.send_datagram(a.address, b"reply")
+        a.send_reliable(c.address, b"single", lambda ok, why: outcomes.append(ok))
+        a.send_reliable(c.address, bytes(range(256)) * 3, lambda ok, why: outcomes.append(ok))
+        net.run(for_s=600.0)
+        assert outcomes == [True, True]
+        assert not parsed
+        assert {type(packet) for _, packet in received} >= {
+            DataPacket, NeedAckPacket, AckPacket, SyncPacket, XLDataPacket
+        }
+        for transmitter, packet in received:
+            assert any(packet is own for own in sent[transmitter])
 
 
 class TestTransmitPath:

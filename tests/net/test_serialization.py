@@ -65,6 +65,14 @@ class _TaggedRoutingPacket(RoutingPacket):
     """Equal on the wire to a RoutingPacket, but not what decode builds."""
 
 
+class _TaggedDataPacket(DataPacket):
+    """Equal on the wire to a DataPacket, but not what decode builds."""
+
+
+class _TaggedBytes(bytes):
+    """Equal to its bytes, but not the ``bytes`` the decoder slices."""
+
+
 class TestDecodeMemoSeeding:
     def test_equal_routing_packets_decode_to_the_first_encoded(self, monkeypatch):
         monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
@@ -78,14 +86,44 @@ class TestDecodeMemoSeeding:
     @pytest.mark.parametrize(
         "packet",
         [
-            DataPacket(dst=0x7B01, src=0x7B02, via=0x7B03, payload=b"not seeded"),
+            DataPacket(dst=0x7C01, src=0x7C02, via=0x7C03, payload=b"seeded"),
+            NeedAckPacket(dst=0x7C01, src=0x7C02, via=0x7C03, seq_id=7, number=0, payload=b"one"),
+            AckPacket(dst=0x7C01, src=0x7C02, via=0x7C03, seq_id=7, number=12),
+            LostPacket(dst=0x7C01, src=0x7C02, via=0x7C03, seq_id=7, number=4),
+            SyncPacket(dst=0x7C01, src=0x7C02, via=0x7C03, seq_id=9, number=40, total_bytes=7000),
+            XLDataPacket(dst=0x7C01, src=0x7C02, via=0x7C03, seq_id=9, number=5, payload=bytes(100)),
+        ],
+        ids=["data", "need-ack", "ack", "lost", "sync", "xl-data"],
+    )
+    def test_via_packets_are_seeded(self, monkeypatch, packet):
+        # Every listener of the frame shares the sender's packet.
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
+        assert decode(encode(packet)) is packet
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
             # Same class, but typed DATA: the bytes decode as a DataPacket.
             RoutingPacket(src=0x7B04, entries=(RoutingEntry(address=0x7B05, metric=1),), type=PacketType.DATA),
             _TaggedRoutingPacket(src=0x7B06, entries=(RoutingEntry(address=0x7B07, metric=1),)),
+            _TaggedDataPacket(dst=0x7B08, src=0x7B09, via=0x7B0A, payload=b"tagged"),
+            # A mutable payload the decoder would hand out as bytes.
+            DataPacket(dst=0x7B0B, src=0x7B0C, via=0x7B0D, payload=bytearray(b"mutable")),
+            XLDataPacket(dst=0x7B0E, src=0x7B0F, via=0x7B10, seq_id=1, number=2, payload=_TaggedBytes(b"xl")),
+            # Equal to 1 on the wire, but the decoder unpacks a plain int.
+            AckPacket(dst=0x7B11, src=0x7B12, via=0x7B13, seq_id=True, number=3),
         ],
-        ids=["data", "routing-typed-data", "routing-subclass"],
+        ids=[
+            "routing-typed-data",
+            "routing-subclass",
+            "subclass-of-data",
+            "bytearray-payload",
+            "bytes-subclass-payload",
+            "bool-field",
+        ],
     )
-    def test_only_what_the_decoder_builds_is_seeded(self, packet):
+    def test_only_what_the_decoder_builds_is_seeded(self, monkeypatch, packet):
+        monkeypatch.setattr(serialization, "_DECODE_CACHE", {})
         decoded = decode(encode(packet))
         assert decoded is not packet
         assert decoded == serialization._decode(encode(packet))

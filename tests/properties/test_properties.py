@@ -95,8 +95,9 @@ class TestSerializationProperties:
 
     @given(packet=packets)
     def test_memoized_decode_matches_the_decoder(self, packet):
-        # encode() seeds the decode memo with ROUTING packets; what the
-        # memo returns must equal what parsing the bytes would build.
+        # encode() seeds the decode memo with the packets the decoder
+        # would rebuild; what the memo returns must equal what parsing
+        # the bytes would build.
         frame = serialization.encode(packet)
         assert serialization.decode(frame) == serialization._decode(frame)
 
